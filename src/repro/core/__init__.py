@@ -3,13 +3,20 @@
 Public surface of the reproduction of Cohen & Sagiv, *An incremental
 algorithm for computing ranked full disjunctions*:
 
-* :func:`incremental_fd` / :func:`get_next_result` — Figs. 1–2;
-* :func:`full_disjunction` / :class:`FullDisjunction` — the ``FD(R)`` driver
-  (Corollary 4.9) with streaming access (Theorem 4.10);
-* :func:`priority_incremental_fd` / :func:`top_k` / :func:`above_threshold` —
-  Fig. 3, Theorem 5.5 and Remark 5.6;
-* :func:`approx_incremental_fd` / :func:`approx_full_disjunction` — Figs. 5–6,
-  Theorem 6.6;
+* two drivers: the incremental one, :func:`incremental_fd` /
+  :func:`get_next_result` (Figs. 1–2), and the priority one,
+  :class:`PriorityState` (Fig. 3);
+* one join predicate they both run under (:class:`JoinPredicate`):
+  :data:`EXACT` — join consistency and connectivity — or
+  :class:`ApproximatePredicate` for an approximate join function and a
+  threshold (the starred lines of Figs. 5–6);
+* the entry points built on them: :func:`full_disjunction` /
+  :class:`FullDisjunction` — the ``FD(R)`` driver (Corollary 4.9) with
+  streaming access (Theorem 4.10); :func:`priority_incremental_fd` /
+  :func:`top_k` / :func:`above_threshold` — Theorem 5.5 and Remark 5.6;
+  :func:`approx_incremental_fd` / :func:`approx_full_disjunction` —
+  Theorem 6.6; :func:`ranked_approx_full_disjunction` — the ranked
+  approximate variant of Section 6;
 * the supporting data model (:class:`TupleSet`, JCC), ranking functions,
   approximate-join functions, block-based execution and initialization
   strategies of Section 7.
@@ -24,6 +31,12 @@ from repro.core.store import (
     PoolStatistics,
     PriorityIncompletePool,
     record_store_statistics,
+)
+from repro.core.predicate import (
+    EXACT,
+    ApproximatePredicate,
+    ExactPredicate,
+    JoinPredicate,
 )
 from repro.core.incremental import (
     FDStatistics,
@@ -106,6 +119,11 @@ __all__ = [
     "PriorityIncompletePool",
     "PoolStatistics",
     "record_store_statistics",
+    # join predicates
+    "JoinPredicate",
+    "ExactPredicate",
+    "ApproximatePredicate",
+    "EXACT",
     # exact algorithm
     "FDStatistics",
     "incremental_fd",

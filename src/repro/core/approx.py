@@ -3,14 +3,20 @@
 Given an *acceptable* and *efficiently computable* approximate join function
 ``A`` (see :mod:`repro.core.approx_join`) and a threshold ``τ``, the
 ``(A, τ)``-approximate full disjunction ``AFD(R, A, τ)`` (Definition 6.2)
-contains the maximal tuple sets ``T`` with ``A(T) ≥ τ``.  The algorithms here
-compute it in incremental polynomial time (Theorem 6.6), mirroring the exact
-algorithms with three changes, marked ``*`` in the paper's figures:
+contains the maximal tuple sets ``T`` with ``A(T) ≥ τ``.  The paper computes
+it in incremental polynomial time (Theorem 6.6) with the exact algorithms
+plus three changes, marked ``*`` in its figures:
 
 * initialization only admits singletons ``{t}`` with ``A({t}) ≥ τ``;
 * every ``JCC(·)`` test becomes ``A(·) ≥ τ``;
 * Line 8 may yield *several* maximal candidate subsets per outside tuple
   (Example 6.3), supplied by ``A.candidate_extensions``.
+
+Those three changes are the :class:`~repro.core.predicate.ApproximatePredicate`;
+the drivers are the exact ones.  Each entry point here builds the predicate
+and hands it to the incremental driver (:mod:`repro.core.incremental`) or to
+the backend's pass loop (:mod:`repro.exec`), so approximate runs share the
+exact runs' stores, kernels, backends, tracing spans and statistics.
 """
 
 from __future__ import annotations
@@ -21,41 +27,16 @@ from repro.relational.database import Database
 from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.core.approx_join import ApproximateJoinFunction
-from repro.core.incremental import AnchorSpec, FDStatistics, resolve_anchor
-from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
+from repro.core.incremental import (
+    AnchorSpec,
+    FDStatistics,
+    get_next_result,
+    incremental_fd,
+)
+from repro.core.predicate import ApproximatePredicate
+from repro.core.store import CompleteStore, ListIncompletePool
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
-
-
-def approx_maximally_extend(
-    tuple_set: TupleSet,
-    join_function: ApproximateJoinFunction,
-    threshold: float,
-    scanner: TupleScanner,
-    statistics: Optional[FDStatistics] = None,
-) -> TupleSet:
-    """Lines 2–6 of ``ApproxGetNextResult``: extend while ``A(T ∪ {t_g}) ≥ τ``.
-
-    Because ``A`` is acceptable, any maximal set of ``AFD`` that contains the
-    current set can be reached by such single-tuple steps, so the fixpoint is
-    maximal (see the discussion after Definition 6.4).
-    """
-    current = tuple_set
-    changed = True
-    while changed:
-        changed = False
-        if statistics is not None:
-            statistics.extension_passes += 1
-        for candidate in scanner.scan():
-            if candidate in current:
-                continue
-            if candidate.relation_name in current.relations:
-                continue
-            grown = current.with_tuple(candidate)
-            if grown.is_connected and join_function(grown) >= threshold:
-                current = grown
-                changed = True
-    return current
 
 
 def approx_get_next_result(
@@ -69,50 +50,10 @@ def approx_get_next_result(
     statistics: Optional[FDStatistics] = None,
 ) -> TupleSet:
     """One call of ``ApproxGetNextResult`` (Fig. 6)."""
-    if scanner is None:
-        scanner = TupleScanner(database)
-
-    # Line 1.
-    result = incomplete.pop()
-
-    # Lines 2-6 (starred): extend while the approximate join stays above τ.
-    result = approx_maximally_extend(result, join_function, threshold, scanner, statistics)
-
-    # Lines 7-18.
-    for outside in scanner.scan():
-        if outside in result:
-            continue
-        # Line 8 (starred): all maximal qualifying subsets containing t_b.
-        candidates = join_function.candidate_extensions(result, outside, threshold)
-        for candidate in candidates:
-            if statistics is not None:
-                statistics.candidates_generated += 1
-            anchor_tuple = candidate.tuple_from(anchor)
-            if anchor_tuple is None:
-                if statistics is not None:
-                    statistics.candidates_without_anchor += 1
-                continue
-            if complete.contains_superset(candidate, anchor=anchor_tuple):
-                if statistics is not None:
-                    statistics.candidates_subsumed += 1
-                continue
-            merged = False
-            for waiting in incomplete.candidates(candidate):
-                union = waiting.union(candidate)
-                # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
-                if union.is_connected and join_function(union) >= threshold:
-                    incomplete.replace(waiting, union)
-                    merged = True
-                    if statistics is not None:
-                        statistics.candidates_merged += 1
-                    break
-            if merged:
-                continue
-            incomplete.add(candidate)
-            if statistics is not None:
-                statistics.candidates_inserted += 1
-
-    return result
+    return get_next_result(
+        database, anchor, incomplete, complete, scanner, statistics,
+        predicate=ApproximatePredicate(join_function, threshold),
+    )
 
 
 def approx_incremental_fd(
@@ -130,51 +71,11 @@ def approx_incremental_fd(
     ``backend`` schedules each ``ApproxGetNextResult`` step through the
     execution layer (:mod:`repro.exec`); ``None`` is the serial reference.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    anchor_name = resolve_anchor(database, anchor)
-    if scanner is None:
-        scanner = TupleScanner(database)
-    catalog = database.catalog()
-    if backend is None:
-        next_result = approx_get_next_result
-    else:
-        from repro.exec import resolve_backend
-
-        next_result = resolve_backend(backend).approx_next_result
-
-    incomplete = ListIncompletePool(anchor_name, use_index=use_index)
-    complete = CompleteStore(anchor_name, use_index=use_index)
-
-    # Lines 1-4 (starred line 3): only singletons that themselves qualify.
-    for t in database.relation(anchor_name):
-        singleton = TupleSet.singleton(t, catalog=catalog)
-        if join_function(singleton) >= threshold:
-            incomplete.add(singleton)
-
-    try:
-        while incomplete:
-            result = next_result(
-                database,
-                anchor_name,
-                join_function,
-                threshold,
-                incomplete,
-                complete,
-                scanner,
-                statistics,
-            )
-            complete.add(result)
-            if statistics is not None:
-                statistics.results += 1
-                statistics.tuple_reads = scanner.tuple_reads
-                statistics.scan_passes = scanner.passes
-            yield result
-    finally:
-        # Record store counters on every exit, including abandonment.
-        record_store_statistics(
-            statistics, ("incomplete", incomplete), ("complete", complete)
-        )
+    yield from incremental_fd(
+        database, anchor, use_index=use_index, scanner=scanner,
+        statistics=statistics, backend=backend,
+        predicate=ApproximatePredicate(join_function, threshold),
+    )
 
 
 def approx_full_disjunction_sets(
@@ -187,20 +88,17 @@ def approx_full_disjunction_sets(
 ) -> Iterator[TupleSet]:
     """Generate every member of ``AFD(R, A, τ)`` exactly once (Corollary 6.7).
 
-    The independent per-relation ``ApproxIncrementalFD`` passes are scheduled
-    by ``backend`` (``None`` means the serial reference), exactly like the
-    exact driver's singleton passes — the sharded backend fans them out to
-    its process pool.
+    The independent per-relation ``ApproxIncrementalFD`` passes are the
+    exact driver's singleton passes under the approximate predicate, so
+    ``backend`` (``None`` means the serial reference) schedules them exactly
+    like the exact ones — the sharded backend fans them out to its process
+    pool, whole passes at a time.
     """
     from repro.exec import resolve_backend
 
-    backend = resolve_backend(backend)
-    yield from backend.run_approx_passes(
-        database,
-        join_function,
-        threshold,
-        use_index=use_index,
-        statistics=statistics,
+    yield from resolve_backend(backend).run_singleton_passes(
+        database, use_index=use_index, statistics=statistics,
+        predicate=ApproximatePredicate(join_function, threshold),
     )
 
 

@@ -145,6 +145,8 @@ def _run_reusing_passes(
                         # earlier relation) was.
                         continue
                     produced.append(result)
+                    if pass_statistics is not None:
+                        pass_statistics.results_emitted += 1
                     yield result
             finally:
                 # Record pass counters on every exit, including abandonment.

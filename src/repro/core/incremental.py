@@ -29,6 +29,11 @@ The structure follows the paper's pseudocode line by line:
                     replace ``S`` by ``S ∪ T'``
     16–18.      else: insert ``T'`` into ``Incomplete``
     19. return ``T``
+
+The same two functions run the approximate algorithm of Figs. 5–6: every
+point where the variants differ — seeds, extension, the Line 8 candidates,
+the Line 14 merge — is a call on the ``predicate`` argument
+(:mod:`repro.core.predicate`), :data:`~repro.core.predicate.EXACT` by default.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from typing import (
 
 from repro.relational.database import Database
 from repro.relational.errors import DatabaseError
+from repro.core.kernels import BigintKernel, tag_kernel
+from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.store import (
     CompleteStore,
     ListIncompletePool,
@@ -66,15 +73,17 @@ class FDStatistics:
 
     ``results`` counts the results *produced* (added to ``Complete``);
     ``results_emitted`` counts the results actually delivered to the caller.
-    The two differ where production and delivery diverge: the ranked
-    threshold path (a result produced at a rank tie straddling the threshold
-    boundary is recorded in ``Complete`` — it was derived, and must suppress
-    re-derivations — but never emitted) and *unranked* streaming delta
-    passes (a re-derived old result is produced again but never re-emitted).
-    The ranked engine — delta passes included — follows Fig. 3's Line 17
-    convention instead: a duplicate popped through another queue is
-    discarded before either counter moves, so ``results`` counts distinct
-    productions there.
+    The two differ where production and delivery diverge: the multi-pass
+    drivers (a result of pass ``i`` holding a tuple of an earlier relation
+    was produced, but is suppressed as a duplicate of an earlier pass), the
+    ranked threshold path (a result produced at a rank tie straddling the
+    threshold boundary is recorded in ``Complete`` — it was derived, and
+    must suppress re-derivations — but never emitted) and *unranked*
+    streaming delta passes (a re-derived old result is produced again but
+    never re-emitted).  The ranked engine — delta passes included — follows
+    Fig. 3's Line 17 convention instead: a duplicate popped through another
+    queue is discarded before either counter moves, so ``results`` counts
+    distinct productions there.
     """
 
     results: int = 0
@@ -140,6 +149,9 @@ AnchorSpec = Union[int, str]
 #: Either of the Incomplete pool implementations accepted by ``get_next_result``.
 IncompletePool = Union[ListIncompletePool, PriorityIncompletePool]
 
+#: The kernel of the serial step: the paper's per-tuple loops, verbatim.
+REFERENCE_KERNEL = BigintKernel()
+
 
 def resolve_anchor(database: Database, anchor: AnchorSpec) -> str:
     """Normalise an anchor given as a relation name or a zero-based index."""
@@ -184,8 +196,10 @@ def get_next_result(
     scanner: Optional[TupleScanner] = None,
     statistics: Optional[FDStatistics] = None,
     anchor_tuples: Optional[AbstractSet] = None,
+    predicate: JoinPredicate = EXACT,
 ) -> TupleSet:
-    """One call of ``GetNextResult`` (Fig. 2): produce the next result of ``FD_i``.
+    """One call of ``GetNextResult`` (Fig. 2, or Fig. 6 under an approximate
+    ``predicate``): produce the next result of ``FD_i``.
 
     The ``incomplete`` pool decides the extraction order: FIFO for plain
     ``IncrementalFD``, highest-rank-first for ``PriorityIncrementalFD``.
@@ -198,22 +212,23 @@ def get_next_result(
     relation are never join consistent (so a tuple set holds at most one
     ``R_i`` tuple, every pool merge is anchor-local, and the split pass
     produces precisely the ``FD_i`` members anchored in the range, once
-    each).  The sharded backend's bucket-grained fan-out is built on this.
+    each).  The sharded backend's bucket-grained fan-out is built on this;
+    it applies only to predicates that are
+    :attr:`~repro.core.predicate.JoinPredicate.bucket_sound`.
     """
     if scanner is None:
         scanner = TupleScanner(database)
+    kernel = REFERENCE_KERNEL
+    first_merge = predicate.first_merge
 
     # Line 1: remove a tuple set from Incomplete.
     result = incomplete.pop()
 
     # Lines 2-6: extend it maximally.
-    result = maximally_extend(result, scanner, statistics)
+    result = predicate.extend(result, scanner, statistics, kernel)
 
     # Lines 7-18: derive candidate tuple sets from the tuples left out.
-    for outside in scanner.scan():
-        if outside in result:
-            continue
-        candidate = result.maximal_jcc_subset_with(outside)
+    for candidate in predicate.candidates(result, scanner):
         if statistics is not None:
             statistics.candidates_generated += 1
         # Line 9: only candidates containing a tuple of the anchor relation
@@ -231,15 +246,11 @@ def get_next_result(
                 statistics.candidates_subsumed += 1
             continue
         # Lines 12-15: can it be merged into a waiting tuple set?
-        merged = False
-        for waiting in incomplete.candidates(candidate):
-            if waiting.union_is_jcc(candidate):
-                incomplete.replace(waiting, waiting.union(candidate))
-                merged = True
-                if statistics is not None:
-                    statistics.candidates_merged += 1
-                break
-        if merged:
+        partner = first_merge(incomplete.candidates(candidate), candidate, kernel)
+        if partner is not None:
+            incomplete.replace(*partner)
+            if statistics is not None:
+                statistics.candidates_merged += 1
             continue
         # Lines 16-18: otherwise it starts a new entry of Incomplete.
         incomplete.add(candidate)
@@ -266,8 +277,12 @@ def incremental_fd(
     complete: Optional[CompleteStore] = None,
     backend=None,
     anchor_tuples: Optional[Iterable] = None,
+    predicate: JoinPredicate = EXACT,
 ) -> Iterator[TupleSet]:
     """``IncrementalFD(R, i)`` (Fig. 1): generate ``FD_i(R)`` one tuple set at a time.
+
+    Under an approximate ``predicate`` this is ``ApproxIncrementalFD`` (Fig. 5)
+    and generates ``AFD_i(R, A, τ)``.
 
     Parameters
     ----------
@@ -308,6 +323,10 @@ def incremental_fd(
         into sub-relations (see :func:`get_next_result`), and yields exactly
         the ``FD_i`` members anchored in the range, once each.  The sharded
         backend fans a pass out as one such range per worker task.
+    predicate:
+        The :class:`~repro.core.predicate.JoinPredicate` deciding which seeds
+        qualify and which tuple sets join; :data:`~repro.core.predicate.EXACT`
+        by default.
 
     Yields
     ------
@@ -315,10 +334,7 @@ def incremental_fd(
         Each member of ``FD_i(R)``, exactly once (Theorem 4.6).
     """
     anchor_name = resolve_anchor(database, anchor)
-    if statistics is not None:
-        from repro.core.kernels import tag_kernel
-
-        tag_kernel(statistics)
+    tag_kernel(statistics)
     if scanner is None:
         scanner = TupleScanner(database)
     catalog = database.catalog()
@@ -341,16 +357,18 @@ def incremental_fd(
     # Lines 1-4: initialization of the two lists.  Initial sets are interned
     # against the catalog so every set the run derives from them carries the
     # bitset representation.  Under a bucket restriction the seeds are the
-    # bucket's singletons only, in scan order.
+    # bucket's singletons only, in scan order; the predicate admits the
+    # qualifying ones (Line 3, starred).
     from repro.obs.tracing import trace_span
 
     with trace_span("engine.initialize", "engine", anchor=anchor_name):
         if initial is None:
-            initial = (
+            singletons = (
                 TupleSet.singleton(t, catalog=catalog)
                 for t in database.relation(anchor_name)
                 if bucket is None or t in bucket
             )
+            initial = filter(predicate.admits, singletons)
         for tuple_set in initial:
             incomplete.add(tuple_set.attach_catalog(catalog))
     if on_initialized is not None:
@@ -361,22 +379,16 @@ def incremental_fd(
         # Line 5: loop until Incomplete is exhausted.
         while incomplete:
             iteration += 1
-            if bucket is None:
-                # The positional call keeps custom backends that predate the
-                # bucket restriction working unchanged.
-                result = next_result(
-                    database, anchor_name, incomplete, complete, scanner, statistics
-                )
-            else:
-                result = next_result(
-                    database,
-                    anchor_name,
-                    incomplete,
-                    complete,
-                    scanner,
-                    statistics,
-                    anchor_tuples=bucket,
-                )
+            result = next_result(
+                database,
+                anchor_name,
+                incomplete,
+                complete,
+                scanner,
+                statistics,
+                anchor_tuples=bucket,
+                predicate=predicate,
+            )
             # Lines 7-8: print the result and remember it in Complete.
             complete.add(result)
             if statistics is not None:

@@ -26,6 +26,12 @@ the streaming maintainer (:mod:`repro.service.delta`) pushes an arrival's
 qualifying size-≤c subsets into the live queues
 (:meth:`PriorityState.ingest`) and drains only the genuinely new results
 instead of rebuilding the queues from scratch.
+
+The driver is written against a join predicate (:mod:`repro.core.predicate`):
+the queue seeds, the Lines 5–8 merge and every ``GetNextResult`` step ask
+it, so the same code is the ranked approximate algorithm of Section 6 under
+:class:`~repro.core.predicate.ApproximatePredicate`
+(:mod:`repro.core.ranked_approx`).
 """
 
 from __future__ import annotations
@@ -35,13 +41,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple as TupleType
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
 from repro.core.incremental import FDStatistics, get_next_result
+from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.store import CompleteStore, PriorityIncompletePool
-from repro.core.ranking import (
-    RankingFunction,
-    canonical_rank_key,
-    enumerate_connected_subsets,
-    enumerate_connected_subsets_containing,
-)
+from repro.core.ranking import RankingFunction, canonical_rank_key
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 
@@ -49,13 +51,14 @@ from repro.core.tupleset import TupleSet
 RankedResult = TupleType[TupleSet, float]
 
 
-def _merge_queue_members(pool: PriorityIncompletePool) -> None:
-    """Lines 5–8 of Fig. 3: merge queue members whose union is JCC, to a fixpoint.
+def _merge_queue_members(pool: PriorityIncompletePool, predicate: JoinPredicate) -> None:
+    """Lines 5–8 of Fig. 3: merge queue members whose union qualifies, to a fixpoint.
 
     After the merge no two members of the queue can be contained in the same
     member of ``FD_i`` (two such members would share the ``R_i`` tuple and be
     join consistent, hence mergeable).
     """
+    merge = predicate.merge
     changed = True
     while changed:
         changed = False
@@ -68,8 +71,8 @@ def _merge_queue_members(pool: PriorityIncompletePool) -> None:
                     continue
                 if first == second:
                     continue
-                if first.union_is_jcc(second):
-                    merged = first.union(second)
+                merged = merge(first, second)
+                if merged is not None:
                     # Remove both members and insert the union once.
                     pool.replace(first, merged)
                     if second in pool and second != merged:
@@ -82,6 +85,7 @@ def build_priority_pools(
     database: Database,
     ranking: RankingFunction,
     use_index: bool = False,
+    predicate: JoinPredicate = EXACT,
 ) -> List[PriorityIncompletePool]:
     """Initialization of Fig. 3: one merged priority queue per relation."""
     ranking.require_monotonically_c_determined()
@@ -89,11 +93,13 @@ def build_priority_pools(
     pools: List[PriorityIncompletePool] = []
     for relation in database.relations:
         pool = PriorityIncompletePool(relation.name, ranking, use_index=use_index)
-        for tuple_set in enumerate_connected_subsets(
-            database, relation.name, ranking.c, catalog=catalog
-        ):
+        seeds = (
+            TupleSet.singleton(t, catalog=catalog)
+            for t in database.relation(relation.name)
+        )
+        for tuple_set in predicate.subsets(database, seeds, ranking.c):
             pool.add(tuple_set)
-        _merge_queue_members(pool)
+        _merge_queue_members(pool, predicate)
         pools.append(pool)
     return pools
 
@@ -124,6 +130,7 @@ class PriorityState:
         use_index: bool = False,
         statistics: Optional[FDStatistics] = None,
         backend=None,
+        predicate: JoinPredicate = EXACT,
     ):
         ranking.require_monotonically_c_determined()
         if backend is None:
@@ -135,12 +142,15 @@ class PriorityState:
         self.database = database
         self.ranking = ranking
         self.use_index = use_index
+        self.predicate = predicate
         self.statistics = statistics
         if statistics is not None:
             from repro.core.kernels import tag_kernel
 
             tag_kernel(statistics)
-        self.pools = build_priority_pools(database, ranking, use_index=use_index)
+        self.pools = build_priority_pools(
+            database, ranking, use_index=use_index, predicate=predicate
+        )
         self.anchors = [relation.name for relation in database.relations]
         self.complete = CompleteStore(anchor_relation=None, use_index=use_index)
         self.scanner = TupleScanner(database)
@@ -198,6 +208,7 @@ class PriorityState:
                 self.complete,
                 self.scanner,
                 statistics,
+                predicate=self.predicate,
             )
             if result in self.complete:
                 # Line 17: the same result was already produced via another
@@ -244,9 +255,8 @@ class PriorityState:
         seeded = set()
         touched = set()
         for t in fresh_tuples:
-            for subset in enumerate_connected_subsets_containing(
-                self.database, t, self.ranking.c, catalog=catalog
-            ):
+            seeds = (TupleSet.singleton(t, catalog=catalog),)
+            for subset in self.predicate.subsets(self.database, seeds, self.ranking.c):
                 for index, anchor_name in enumerate(self.anchors):
                     if subset.contains_tuple_from(anchor_name):
                         if subset not in self.pools[index]:
@@ -254,7 +264,7 @@ class PriorityState:
                             seeded.add(subset)
                         touched.add(index)
         for index in touched:
-            _merge_queue_members(self.pools[index])
+            _merge_queue_members(self.pools[index], self.predicate)
         self.arrivals_seeded += len(fresh_tuples)
         return len(seeded)
 
@@ -360,6 +370,28 @@ def priority_incremental_fd(
     (TupleSet, float)
         Each member of ``FD(R)`` with its rank, highest rank first.
     """
+    yield from ranked_results(
+        database, ranking, EXACT, k=k, threshold=threshold, use_index=use_index,
+        statistics=statistics, backend=backend,
+    )
+
+
+def ranked_results(
+    database: Database,
+    ranking: RankingFunction,
+    predicate: JoinPredicate,
+    k: Optional[int] = None,
+    threshold: Optional[float] = None,
+    use_index: bool = False,
+    statistics: Optional[FDStatistics] = None,
+    backend=None,
+) -> Iterator[RankedResult]:
+    """The priority driver under ``predicate``: one :class:`PriorityState`, drained.
+
+    :func:`priority_incremental_fd` (exact) and
+    :func:`repro.core.ranked_approx.ranked_approx_full_disjunction`
+    (approximate) are this function with their predicate built in.
+    """
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     ranking.require_monotonically_c_determined()
@@ -368,7 +400,7 @@ def priority_incremental_fd(
 
     state = PriorityState(
         database, ranking, use_index=use_index, statistics=statistics,
-        backend=backend,
+        backend=backend, predicate=predicate,
     )
     try:
         yield from state.results(k=k, threshold=threshold)

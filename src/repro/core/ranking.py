@@ -24,6 +24,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.relational.database import Database
 from repro.relational.errors import RankingError
 from repro.relational.tuples import Tuple
+from repro.core.predicate import EXACT
 from repro.core.tupleset import TupleSet
 
 #: How importances may be supplied: a mapping from tuple label, or a callable.
@@ -282,29 +283,8 @@ def enumerate_connected_subsets(
     """
     if max_size < 1:
         raise RankingError(f"max_size must be at least 1, got {max_size}")
-    all_tuples = list(database.tuples())
-    seen = set()
-    frontier: List[TupleSet] = []
-    for t in database.relation(anchor_name):
-        singleton = TupleSet.singleton(t, catalog=catalog)
-        seen.add(singleton)
-        frontier.append(singleton)
-        yield singleton
-    for _ in range(max_size - 1):
-        next_frontier: List[TupleSet] = []
-        for current in frontier:
-            for t in all_tuples:
-                if t in current:
-                    continue
-                if not current.can_absorb(t):
-                    continue
-                grown = current.with_tuple(t)
-                if grown in seen:
-                    continue
-                seen.add(grown)
-                next_frontier.append(grown)
-                yield grown
-        frontier = next_frontier
+    seeds = (TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor_name))
+    yield from EXACT.subsets(database, seeds, max_size)
 
 
 def enumerate_connected_subsets_containing(
@@ -319,39 +299,12 @@ def enumerate_connected_subsets_containing(
     delta maintenance: when ``t`` arrives on a stream, the only size-≤c
     witness subsets the priority queues are missing are exactly the ones
     containing ``t`` — everything else was enumerated when the queues were
-    built.  The growth argument matches the unbounded enumerator: every
-    connected set containing ``t`` has a build order starting at ``{t}``
-    whose prefixes are all connected (a spanning-tree traversal from ``t``),
-    and join consistency is preserved under taking subsets, so growing
-    tuple by tuple through ``can_absorb`` reaches every qualifying subset.
-    Cost is ``O(s^(c-1))`` per arrival instead of the ``O(s^c)`` rebuild.
+    built.  Cost is ``O(s^(c-1))`` per arrival instead of the ``O(s^c)``
+    rebuild.
     """
     if max_size < 1:
         raise RankingError(f"max_size must be at least 1, got {max_size}")
-    singleton = TupleSet.singleton(t, catalog=catalog)
-    seen = {singleton}
-    frontier: List[TupleSet] = [singleton]
-    yield singleton
-    if max_size == 1:
-        # The common case (f_max is 1-determined): no growth loop, and no
-        # point paying an O(s) database copy per arrival.
-        return
-    all_tuples = list(database.tuples())
-    for _ in range(max_size - 1):
-        next_frontier: List[TupleSet] = []
-        for current in frontier:
-            for other in all_tuples:
-                if other in current:
-                    continue
-                if not current.can_absorb(other):
-                    continue
-                grown = current.with_tuple(other)
-                if grown in seen:
-                    continue
-                seen.add(grown)
-                next_frontier.append(grown)
-                yield grown
-        frontier = next_frontier
+    yield from EXACT.subsets(database, (TupleSet.singleton(t, catalog=catalog),), max_size)
 
 
 def canonical_rank_key(item):

@@ -1,8 +1,12 @@
 """Pluggable execution backends for the full-disjunction engines.
 
-The algorithms (:mod:`repro.core`) define *what* is computed; an
+The algorithms (:mod:`repro.core`) define *what* is computed — two drivers,
+incremental and priority, each under a join predicate
+(:mod:`repro.core.predicate`) that makes it exact or approximate; an
 :class:`~repro.exec.base.ExecutionBackend` defines *how* the work is
-scheduled.  Three backends ship:
+scheduled.  Every backend takes the predicate with each step and each pass,
+so one schedule serves all four engines (exact, ranked, approximate, ranked
+approximate).  Five backends ship:
 
 ``serial``
     The paper's reference execution — one ``GetNextResult`` step at a time,
@@ -13,10 +17,11 @@ scheduled.  Three backends ship:
     (:class:`~repro.exec.batched.BatchedBackend`).  Exactly
     order-equivalent to serial.
 ``sharded``
-    Anchor-bucket ranges of the exact passes (and whole approximate passes)
-    fan out to a process pool through a shared work-stealing queue; results
-    and statistics merge deterministically regardless of worker count or
-    steal order (:class:`~repro.exec.sharded.ShardedBackend`).  Accepts a
+    Anchor-bucket ranges of the passes fan out to a process pool through a
+    shared work-stealing queue; results and statistics merge
+    deterministically regardless of worker count or steal order
+    (:class:`~repro.exec.sharded.ShardedBackend`).  Passes under a predicate
+    that is not bucket-sound (the approximate one) fan out whole.  Accepts a
     worker count: ``"sharded:4"``.
 ``sharded-pass``
     The same pool fanning out whole per-relation passes instead of bucket
@@ -41,11 +46,7 @@ from typing import Optional, Union
 
 from repro.exec.asyncio_backend import AsyncBackend
 from repro.exec.base import ExecutionBackend
-from repro.exec.batched import (
-    BatchedBackend,
-    approx_get_next_result_batched,
-    get_next_result_batched,
-)
+from repro.exec.batched import BatchedBackend, get_next_result_batched
 from repro.exec.serial import SerialBackend
 from repro.exec.sharded import ShardedBackend, plan_bucket_ranges, shutdown_pools
 
@@ -57,7 +58,6 @@ __all__ = [
     "ShardedBackend",
     "AsyncBackend",
     "get_next_result_batched",
-    "approx_get_next_result_batched",
     "plan_bucket_ranges",
     "resolve_backend",
     "shutdown_pools",

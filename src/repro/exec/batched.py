@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple as TupleType
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
 from repro.core.kernels import active_kernel
+from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 from repro.exec.serial import SerialBackend
@@ -56,28 +57,43 @@ def _batch_subsumption(complete, buckets: Dict[Tuple, List[TupleSet]]):
     return answers
 
 
-def _batched_candidate_phases(
-    anchor, incomplete, complete, statistics, candidates, merge_union,
-    jcc_merge: bool = False,
+def get_next_result_batched(
+    database: Database,
+    anchor: str,
+    incomplete,
+    complete,
+    scanner: Optional[TupleScanner] = None,
+    statistics=None,
     anchor_tuples=None,
-) -> None:
-    """The three phases of Lines 7–18, shared by the exact and starred steps.
+    predicate: JoinPredicate = EXACT,
+) -> TupleSet:
+    """``GetNextResult`` (Fig. 2, or Fig. 6) with bucket-batched ``Complete`` probes.
 
-    ``candidates`` yields every candidate tuple set in scan order (Phase 1:
-    grouped by anchor tuple); ``merge_union`` is the Line 12–15 predicate —
-    given a waiting set and a candidate it returns their union when the pair
-    may merge, ``None`` otherwise.  Phase 2 answers all subsumption probes
-    bucket by bucket; Phase 3 replays the survivors in the original order
-    against the live ``Incomplete`` pool.  When ``jcc_merge`` is true the
-    merge predicate is the exact Line 14 ``JCC(S ∪ T')`` test and Phase 3
-    finds the first partner through the active kernel's batched probe
-    (identical first-match semantics, one call per candidate instead of one
-    ``union_is_jcc`` per waiting set).
+    Observationally identical to
+    :func:`repro.core.incremental.get_next_result` — same result, same pool
+    mutations in the same order, same ``sets_scanned`` — with the subsumption
+    probes of Lines 10–11 amortized to one store probe per anchor bucket.
+    The predicate's extension and merge probe run on the active kernel (the
+    packed kernel evaluates each exact scan pass as one batched absorb test,
+    and finds the first Line-14 partner in one call instead of one
+    ``union_is_jcc`` per waiting set).  ``anchor_tuples`` applies the
+    bucket-range restriction of :func:`repro.core.incremental.get_next_result`
+    to the Line 9 test.
     """
-    kernel = active_kernel() if jcc_merge else None
+    if scanner is None:
+        scanner = TupleScanner(database)
+    kernel = active_kernel()
+    first_merge = predicate.first_merge
+
+    # Line 1: remove a tuple set from Incomplete; Lines 2-6: extend it.
+    result = incomplete.pop()
+    result = predicate.extend(result, scanner, statistics, kernel)
+
+    # Phase 1 (Lines 7-9): every candidate in scan order, grouped by anchor
+    # tuple.  A starred Line 8 may emit several per outside tuple.
     entries: List[TupleType[TupleSet, Tuple]] = []
     buckets: Dict[Tuple, List[TupleSet]] = {}
-    for candidate in candidates:
+    for candidate in predicate.candidates(result, scanner):
         if statistics is not None:
             statistics.candidates_generated += 1
         anchor_tuple = candidate.tuple_from(anchor)
@@ -103,126 +119,17 @@ def _batched_candidate_phases(
             if statistics is not None:
                 statistics.candidates_subsumed += 1
             continue
-        merged = False
-        if kernel is not None:
-            waiting_list = incomplete.candidates(candidate)
-            index = kernel.first_jcc_union(waiting_list, candidate)
-            if index >= 0:
-                waiting = waiting_list[index]
-                incomplete.replace(waiting, waiting.union(candidate))
-                merged = True
-                if statistics is not None:
-                    statistics.candidates_merged += 1
-        else:
-            for waiting in incomplete.candidates(candidate):
-                union = merge_union(waiting, candidate)
-                if union is not None:
-                    incomplete.replace(waiting, union)
-                    merged = True
-                    if statistics is not None:
-                        statistics.candidates_merged += 1
-                    break
-        if merged:
+        partner = first_merge(incomplete.candidates(candidate), candidate, kernel)
+        if partner is not None:
+            incomplete.replace(*partner)
+            if statistics is not None:
+                statistics.candidates_merged += 1
             continue
         incomplete.add(candidate)
         if statistics is not None:
             statistics.candidates_inserted += 1
 
-
-def get_next_result_batched(
-    database: Database,
-    anchor: str,
-    incomplete,
-    complete,
-    scanner: Optional[TupleScanner] = None,
-    statistics=None,
-    anchor_tuples=None,
-) -> TupleSet:
-    """``GetNextResult`` (Fig. 2) with bucket-batched ``Complete`` probes.
-
-    Observationally identical to
-    :func:`repro.core.incremental.get_next_result` — same result, same pool
-    mutations in the same order, same ``sets_scanned`` — with the subsumption
-    probes of Lines 10–11 amortized to one store probe per anchor bucket.
-    ``anchor_tuples`` applies the bucket-range restriction of
-    :func:`repro.core.incremental.get_next_result` to the Line 9 test.
-    """
-    if scanner is None:
-        scanner = TupleScanner(database)
-
-    # Line 1: remove a tuple set from Incomplete; Lines 2-6: extend it
-    # through the active kernel (the packed kernel evaluates each scan pass
-    # as one batched absorb test; the reference kernel is the serial loop).
-    result = incomplete.pop()
-    result = active_kernel().maximally_extend(result, scanner, statistics)
-
-    def candidates():
-        # Lines 7-8: one candidate per outside tuple (footnote 3).
-        for outside in scanner.scan():
-            if outside not in result:
-                yield result.maximal_jcc_subset_with(outside)
-
-    def merge_union(waiting, candidate):
-        # Line 14: JCC(S ∪ T').
-        if waiting.union_is_jcc(candidate):
-            return waiting.union(candidate)
-        return None
-
-    _batched_candidate_phases(
-        anchor, incomplete, complete, statistics, candidates(), merge_union,
-        jcc_merge=True,
-        anchor_tuples=anchor_tuples,
-    )
-
     # Line 19.
-    return result
-
-
-def approx_get_next_result_batched(
-    database: Database,
-    anchor: str,
-    join_function,
-    threshold: float,
-    incomplete,
-    complete,
-    scanner: Optional[TupleScanner] = None,
-    statistics=None,
-) -> TupleSet:
-    """``ApproxGetNextResult`` (Fig. 6) with bucket-batched ``Complete`` probes.
-
-    The starred Line 8 may emit several candidates per outside tuple
-    (Example 6.3); they are bucketed exactly like the exact algorithm's.
-    """
-    from repro.core.approx import approx_maximally_extend
-
-    if scanner is None:
-        scanner = TupleScanner(database)
-
-    result = incomplete.pop()
-    result = approx_maximally_extend(
-        result, join_function, threshold, scanner, statistics
-    )
-
-    def candidates():
-        # Line 8 (starred): all maximal qualifying subsets per outside tuple.
-        for outside in scanner.scan():
-            if outside in result:
-                continue
-            yield from join_function.candidate_extensions(
-                result, outside, threshold
-            )
-
-    def merge_union(waiting, candidate):
-        # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
-        union = waiting.union(candidate)
-        if union.is_connected and join_function(union) >= threshold:
-            return union
-        return None
-
-    _batched_candidate_phases(
-        anchor, incomplete, complete, statistics, candidates(), merge_union
-    )
-
     return result
 
 
@@ -230,7 +137,7 @@ class BatchedBackend(SerialBackend):
     """Anchor-bucket batching of the ``GetNextResult`` probe loop.
 
     Pass scheduling is inherited from :class:`SerialBackend`; only the
-    per-step functions change.
+    per-step function changes.
     """
 
     name = "batched"
@@ -244,6 +151,7 @@ class BatchedBackend(SerialBackend):
         scanner=None,
         statistics=None,
         anchor_tuples=None,
+        predicate: JoinPredicate = EXACT,
     ) -> TupleSet:
         return get_next_result_batched(
             database,
@@ -253,26 +161,5 @@ class BatchedBackend(SerialBackend):
             scanner,
             statistics,
             anchor_tuples=anchor_tuples,
-        )
-
-    def approx_next_result(
-        self,
-        database,
-        anchor,
-        join_function,
-        threshold,
-        incomplete,
-        complete,
-        scanner=None,
-        statistics=None,
-    ) -> TupleSet:
-        return approx_get_next_result_batched(
-            database,
-            anchor,
-            join_function,
-            threshold,
-            incomplete,
-            complete,
-            scanner,
-            statistics,
+            predicate=predicate,
         )

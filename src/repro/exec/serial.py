@@ -1,12 +1,12 @@
 """The serial backend: the paper's reference execution, extracted.
 
 This backend *is* the pre-existing behaviour of the drivers — the per-step
-functions are exactly :func:`repro.core.incremental.get_next_result` and
-:func:`repro.core.approx.approx_get_next_result`, and
+function is exactly :func:`repro.core.incremental.get_next_result`, and
 :meth:`SerialBackend.run_singleton_passes` is the independent-passes loop
-that used to live inline in :mod:`repro.core.full_disjunction`.  It exists as
-a class so the batched and sharded backends can replace one operation at a
-time while inheriting the rest.
+that used to live inline in :mod:`repro.core.full_disjunction`.  Both take
+the join predicate, so the same loop computes the exact and the approximate
+full disjunction.  It exists as a class so the batched and sharded backends
+can replace one operation at a time while inheriting the rest.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from repro.relational.database import Database
 from repro.core.incremental import FDStatistics, get_next_result, incremental_fd
+from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.scanner import make_scanner
 from repro.core.tupleset import TupleSet
 from repro.exec.base import ExecutionBackend
@@ -35,6 +36,7 @@ class SerialBackend(ExecutionBackend):
         scanner=None,
         statistics=None,
         anchor_tuples=None,
+        predicate: JoinPredicate = EXACT,
     ) -> TupleSet:
         return get_next_result(
             database,
@@ -44,30 +46,7 @@ class SerialBackend(ExecutionBackend):
             scanner,
             statistics,
             anchor_tuples=anchor_tuples,
-        )
-
-    def approx_next_result(
-        self,
-        database,
-        anchor,
-        join_function,
-        threshold,
-        incomplete,
-        complete,
-        scanner=None,
-        statistics=None,
-    ) -> TupleSet:
-        from repro.core.approx import approx_get_next_result
-
-        return approx_get_next_result(
-            database,
-            anchor,
-            join_function,
-            threshold,
-            incomplete,
-            complete,
-            scanner,
-            statistics,
+            predicate=predicate,
         )
 
     def run_singleton_passes(
@@ -76,6 +55,7 @@ class SerialBackend(ExecutionBackend):
         use_index: bool = False,
         block_size: Optional[int] = None,
         statistics=None,
+        predicate: JoinPredicate = EXACT,
     ) -> Iterator[TupleSet]:
         """The paper's basic driver: a fresh ``IncrementalFD`` per relation."""
         for index, relation in enumerate(database.relations):
@@ -86,46 +66,29 @@ class SerialBackend(ExecutionBackend):
             # (pauses between pulls included) — on a trace, that is where
             # the serving time actually went.
             with trace_span("engine.pass", "engine", anchor=relation.name):
-                for result in incremental_fd(
+                results = incremental_fd(
                     database,
                     relation.name,
                     use_index=use_index,
                     scanner=scanner,
                     statistics=pass_statistics,
                     backend=self,
-                ):
-                    # Duplicate suppression: a result containing a tuple of
-                    # an earlier relation was already produced by an earlier
-                    # pass.
-                    if any(result.contains_tuple_from(name) for name in earlier):
-                        continue
-                    yield result
-            if statistics is not None and pass_statistics is not None:
-                pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
-                statistics.merge(pass_statistics)
-
-    def run_approx_passes(
-        self,
-        database: Database,
-        join_function,
-        threshold: float,
-        use_index: bool = False,
-        statistics=None,
-    ) -> Iterator[TupleSet]:
-        """The Corollary 6.7 driver: a fresh ``ApproxIncrementalFD`` per relation."""
-        from repro.core.approx import approx_incremental_fd
-
-        for index, relation in enumerate(database.relations):
-            earlier = {r.name for r in database.relations[:index]}
-            for result in approx_incremental_fd(
-                database,
-                relation.name,
-                join_function,
-                threshold,
-                use_index=use_index,
-                statistics=statistics,
-                backend=self,
-            ):
-                if any(result.contains_tuple_from(name) for name in earlier):
-                    continue
-                yield result
+                    predicate=predicate,
+                )
+                try:
+                    for result in results:
+                        # Duplicate suppression: a result containing a tuple
+                        # of an earlier relation was already produced by an
+                        # earlier pass, and is not delivered again.
+                        if any(result.contains_tuple_from(name) for name in earlier):
+                            if pass_statistics is not None:
+                                pass_statistics.results_emitted -= 1
+                            continue
+                        yield result
+                finally:
+                    # Merge on every exit, an abandoned first-k pass included.
+                    # Closing the pass first records its store counters.
+                    results.close()
+                    if pass_statistics is not None:
+                        pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
+                        statistics.merge(pass_statistics)

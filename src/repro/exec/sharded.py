@@ -34,11 +34,17 @@ This backend therefore distributes **bucket ranges**, not whole passes:
   ``FDStatistics`` (``sets_scanned`` included) are byte-identical across
   worker counts and steal interleavings.
 
-``granularity="pass"`` retains the previous whole-pass fan-out (one task per
-relation chunk, output order identical to serial); the approximate driver
-always uses it — without the exact Line 14 ``JCC`` test, a similarity merge
-could join candidates across anchor tuples, so bucket-splitting an approx
-pass is not sound.
+``granularity="pass"`` keeps whole passes (:func:`plan_whole_passes`: one
+range per relation holding all its anchor tuples, so each task is one
+unrestricted pass and the output order is identical to serial).
+Approximate passes always take it: the bucket split is sound only for a
+join predicate whose :attr:`~repro.core.predicate.JoinPredicate.bucket_sound`
+holds, and the approximate predicate's does not — its starred Line-14 merge
+(``A(S ∪ T') ≥ τ``) can join sets of two near-duplicate anchor tuples, so a
+merge may cross from one range into another (the full argument is on
+:class:`~repro.core.predicate.ApproximatePredicate`).  The predicate rides
+along to the workers with every task; an unpicklable ad-hoc join function
+degrades to the in-process schedule like any other pickling failure.
 
 Worker pools are long-lived: one shared pool, sized to the most recent
 request — resizing discards the old pool instead of leaking it, and
@@ -65,6 +71,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple as TupleType
 from repro.relational.database import Database
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.kernels import active_kernel, set_kernel
+from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.scanner import make_scanner
 from repro.core.tupleset import TupleSet
 from repro.exec.batched import BatchedBackend
@@ -264,6 +271,22 @@ def plan_bucket_ranges(
     return plan
 
 
+def plan_whole_passes(
+    database: Database,
+) -> List[TupleType[str, List[List[str]]]]:
+    """The ``granularity="pass"`` plan: every pass is one range of all its anchor tuples.
+
+    A range holding every ``R_i`` tuple restricts nothing, so each task is
+    exactly one unrestricted ``IncrementalFD`` pass — sound under any join
+    predicate, and merged in relation order it replays the serial schedule.
+    """
+    plan: List[TupleType[str, List[List[str]]]] = []
+    for relation in database.relations:
+        labels = [t.label for t in database.relation(relation.name)]
+        plan.append((relation.name, [labels] if labels else []))
+    return plan
+
+
 def _bucket_range_worker(
     payload: DatabasePayload,
     anchor_name: str,
@@ -272,11 +295,13 @@ def _bucket_range_worker(
     block_size: Optional[int],
     kernel_name: Optional[str] = None,
     trace: bool = False,
+    predicate: JoinPredicate = EXACT,
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
     """One bucket range of one ``IncrementalFD`` pass, inside a worker.
 
-    Runs the batched pass restricted to the range's anchor tuples (the
-    ``anchor_tuples`` bucket restriction) and ships the results back as
+    Runs the batched pass under ``predicate``, restricted to the range's
+    anchor tuples (the ``anchor_tuples`` bucket restriction; a range of all
+    of them is a whole pass), and ships the results back as
     frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
     because labels are unique per relation.  The parent's kernel name rides
     along so workers run the same inner-loop implementation even when the
@@ -308,6 +333,7 @@ def _bucket_range_worker(
             statistics=statistics,
             backend=BatchedBackend(),
             anchor_tuples=bucket,
+            predicate=predicate,
         ):
             results.append(
                 frozenset((t.relation_name, t.label) for t in result)
@@ -330,96 +356,8 @@ def _bucket_range_worker(
     return results, statistics, trace_payload
 
 
-def _singleton_passes_worker(
-    database: Database,
-    anchor_names: List[str],
-    use_index: bool,
-    block_size: Optional[int],
-    batched: bool,
-    kernel_name: Optional[str] = None,
-) -> List[TupleType[List[ResultKeys], FDStatistics]]:
-    """A chunk of whole ``IncrementalFD`` passes (``granularity="pass"``).
-
-    Module-level so it is picklable by ``ProcessPoolExecutor``.  Shipping a
-    *chunk* of anchors per task means the database (with its O(s²)-bit
-    catalog matrices) is serialized once per chunk, not once per relation.
-    """
-    if kernel_name is not None:
-        set_kernel(kernel_name)
-    backend = BatchedBackend() if batched else None
-    outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
-    for anchor_name in anchor_names:
-        scanner = make_scanner(database, block_size)
-        statistics = FDStatistics()
-        results: List[ResultKeys] = []
-        for result in incremental_fd(
-            database,
-            anchor_name,
-            use_index=use_index,
-            scanner=scanner,
-            statistics=statistics,
-            backend=backend,
-        ):
-            results.append(frozenset((t.relation_name, t.label) for t in result))
-        statistics.block_reads = getattr(scanner, "block_reads", 0)
-        outputs.append((results, statistics))
-    return outputs
-
-
-def _approx_passes_worker(
-    database: Database,
-    anchor_names: List[str],
-    join_function,
-    threshold: float,
-    use_index: bool,
-    kernel_name: Optional[str] = None,
-) -> List[TupleType[List[ResultKeys], FDStatistics]]:
-    """A chunk of ``ApproxIncrementalFD`` passes, run inside one worker process.
-
-    Mirrors :func:`_singleton_passes_worker`: the join function rides along in
-    the pickle (the stock similarity/aggregation classes are plain picklable
-    objects) and the results come back as ``(relation_name, label)`` key sets.
-    Approx passes stay whole: a similarity merge may join candidates across
-    anchor tuples, so the bucket restriction is not sound for them.
-    """
-    from repro.core.approx import approx_incremental_fd
-
-    if kernel_name is not None:
-        set_kernel(kernel_name)
-    backend = BatchedBackend()
-    outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
-    for anchor_name in anchor_names:
-        statistics = FDStatistics()
-        results: List[ResultKeys] = []
-        for result in approx_incremental_fd(
-            database,
-            anchor_name,
-            join_function,
-            threshold,
-            use_index=use_index,
-            statistics=statistics,
-            backend=backend,
-        ):
-            results.append(frozenset((t.relation_name, t.label) for t in result))
-        outputs.append((results, statistics))
-    return outputs
-
-
-def _contiguous_chunks(items: List[str], count: int) -> List[List[str]]:
-    """Split ``items`` into at most ``count`` contiguous, balanced chunks."""
-    count = min(count, len(items))
-    base, remainder = divmod(len(items), count)
-    chunks: List[List[str]] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < remainder else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
 class ShardedBackend(BatchedBackend):
-    """Fan bucket ranges (or whole passes) out to worker processes."""
+    """Fan bucket ranges (or whole passes, one range each) out to worker processes."""
 
     name = "sharded"
 
@@ -450,64 +388,28 @@ class ShardedBackend(BatchedBackend):
         use_index: bool = False,
         block_size: Optional[int] = None,
         statistics=None,
+        predicate: JoinPredicate = EXACT,
     ) -> Iterator[TupleSet]:
         fallback = lambda: super(ShardedBackend, self).run_singleton_passes(  # noqa: E731
             database,
             use_index=use_index,
             block_size=block_size,
             statistics=statistics,
+            predicate=predicate,
         )
-        if self.granularity == "bucket":
-            return self._run_bucket_ranges_on_pool(
-                database, use_index, block_size, statistics, fallback
-            )
-        return self._run_passes_on_pool(
-            database,
-            statistics,
-            submit_chunk=lambda executor, chunk: executor.submit(
-                _singleton_passes_worker, database, chunk, use_index, block_size,
-                True, active_kernel().name,
-            ),
-            fallback=fallback,
+        if self.granularity == "bucket" and predicate.bucket_sound:
+            plan = plan_bucket_ranges(database)
+        else:
+            plan = plan_whole_passes(database)
+        return self._run_plan_on_pool(
+            database, plan, use_index, block_size, statistics, predicate, fallback
         )
 
-    def run_approx_passes(
-        self,
-        database: Database,
-        join_function,
-        threshold: float,
-        use_index: bool = False,
-        statistics=None,
+    def _run_plan_on_pool(
+        self, database: Database, plan, use_index, block_size, statistics,
+        predicate, fallback,
     ) -> Iterator[TupleSet]:
-        """Fan the independent ``ApproxIncrementalFD`` passes out to the pool.
-
-        Always pass-grained — the starred Line 14 merge (``A(S ∪ T') ≥ τ``)
-        can join candidates across anchor tuples, so the bucket restriction
-        that makes exact ranges independent is not sound here.  Same
-        scaffolding and deterministic merge as the pass-grained exact driver;
-        an unpicklable ad-hoc join function degrades to the in-process
-        schedule exactly like a host that cannot spawn processes.
-        """
-        return self._run_passes_on_pool(
-            database,
-            statistics,
-            submit_chunk=lambda executor, chunk: executor.submit(
-                _approx_passes_worker, database, chunk, join_function, threshold,
-                use_index, active_kernel().name,
-            ),
-            fallback=lambda: super(ShardedBackend, self).run_approx_passes(
-                database,
-                join_function,
-                threshold,
-                use_index=use_index,
-                statistics=statistics,
-            ),
-        )
-
-    def _run_bucket_ranges_on_pool(
-        self, database: Database, use_index, block_size, statistics, fallback
-    ) -> Iterator[TupleSet]:
-        """The bucket-grained schedule: one pool task per anchor-bucket range.
+        """Run a range plan with one pool task per range.
 
         All ranges of all passes are submitted up front; the executor's
         shared queue hands the next pending range to whichever worker frees
@@ -516,11 +418,12 @@ class ShardedBackend(BatchedBackend):
         sequence and the merged statistics never depend on completion order.
         Range ``i``'s results stream out while later ranges are still
         running; abandoning the generator (first-k retrieval) cancels every
-        range not yet started.
+        range not yet started.  Systemic failures (no process spawn,
+        unpicklable arguments) surface on the first range and degrade to
+        ``fallback()`` — the in-process schedule — with a warning.
         """
         catalog = database.catalog()
         label_map = {(t.relation_name, t.label): t for t in database.tuples()}
-        plan = plan_bucket_ranges(database)
         tasks = [
             (anchor_name, labels)
             for anchor_name, ranges in plan
@@ -545,7 +448,7 @@ class ShardedBackend(BatchedBackend):
                     executor.submit(
                         _bucket_range_worker, payload, anchor_name, labels,
                         use_index, block_size, kernel_name,
-                        parent_tracer is not None,
+                        parent_tracer is not None, predicate,
                     )
                     for anchor_name, labels in tasks
                 ]
@@ -572,9 +475,6 @@ class ShardedBackend(BatchedBackend):
             earlier: set = set()
             cursor = 0
             for anchor_name, ranges in plan:
-                pass_statistics = (
-                    FDStatistics() if statistics is not None else None
-                )
                 for _ in ranges:
                     keys_list, range_statistics, range_trace = (
                         first_output if cursor == 0 else futures[cursor].result()
@@ -589,88 +489,23 @@ class ShardedBackend(BatchedBackend):
                             range_id=cursor,
                         )
                     cursor += 1
+                    # Merged before the range's results are yielded, so an
+                    # abandoned run has recorded every range it consumed.
+                    # What the caller gets is decided here — after the
+                    # duplicate suppression, wherever it stops pulling — so
+                    # the parent counts ``results_emitted`` itself.
+                    if statistics is not None:
+                        range_statistics.results_emitted = 0
+                        statistics.merge(range_statistics)
                     for keys in keys_list:
                         if any(name in earlier for name, _ in keys):
                             continue
+                        if statistics is not None:
+                            statistics.results_emitted += 1
                         yield TupleSet(
                             (label_map[key] for key in keys), catalog=catalog
                         )
-                    if pass_statistics is not None:
-                        pass_statistics.merge(range_statistics)
-                if statistics is not None and pass_statistics is not None:
-                    statistics.merge(pass_statistics)
                 earlier.add(anchor_name)
         finally:
-            for future in futures:
-                future.cancel()
-
-    def _run_passes_on_pool(
-        self, database: Database, statistics, submit_chunk, fallback
-    ) -> Iterator[TupleSet]:
-        """The pass-grained fan-out scaffolding (``granularity="pass"``/approx).
-
-        Chunks the relations, submits each chunk through ``submit_chunk``,
-        and merges deterministically: chunks (and passes within them) in
-        relation order, results in each pass's emission order, the
-        earlier-relation duplicate suppression applied in the parent, every
-        result re-interned against the parent's catalog.  Chunk ``i``
-        streams out while chunks ``i+1..`` are still running.  Systemic
-        failures (no process spawn, unpicklable arguments) surface on the
-        first chunk and degrade to ``fallback()`` — the in-process schedule
-        — with a warning.
-        """
-        # Build the catalog *before* pickling so every worker receives the
-        # precomputed bitmatrices instead of rebuilding them n times.
-        catalog = database.catalog()
-        label_map = {(t.relation_name, t.label): t for t in database.tuples()}
-        relation_names = [relation.name for relation in database.relations]
-        if not relation_names:
-            return  # the result over an empty database is empty; nothing to shard
-        workers = min(self.max_workers, len(relation_names))
-
-        chunks = _contiguous_chunks(relation_names, workers)
-        futures = []
-        try:
-            try:
-                executor = _shared_pool(workers)
-                futures = [submit_chunk(executor, chunk) for chunk in chunks]
-                # Resolve the first chunk before yielding anything: systemic
-                # failures surface here, while the fallback can still take
-                # over cleanly.
-                first_output = futures[0].result()
-            except Exception as error:
-                for future in futures:
-                    future.cancel()
-                futures = []
-                _discard_pool(workers)
-                if not self._warned_fallback:
-                    self._warned_fallback = True
-                    warnings.warn(
-                        f"sharded backend could not use a process pool ({error!r}); "
-                        "falling back to in-process passes",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                yield from fallback()
-                return
-
-            earlier: set = set()
-            for index, chunk in enumerate(chunks):
-                chunk_output = first_output if index == 0 else futures[index].result()
-                for anchor_name, (keys_list, pass_statistics) in zip(
-                    chunk, chunk_output
-                ):
-                    for keys in keys_list:
-                        if any(relation_name in earlier for relation_name, _ in keys):
-                            continue
-                        yield TupleSet(
-                            (label_map[key] for key in keys), catalog=catalog
-                        )
-                    if statistics is not None:
-                        statistics.merge(pass_statistics)
-                    earlier.add(anchor_name)
-        finally:
-            # Abandoned generators (first-k retrieval) cancel chunks not yet
-            # started; the shared pool itself stays warm for the next call.
             for future in futures:
                 future.cancel()
