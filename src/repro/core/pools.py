@@ -1,33 +1,34 @@
-"""Reference ``Complete``/``Incomplete`` containers (retained specification).
+"""The ``Incomplete`` pools and the reference ``Complete`` store.
 
 The paper stores both containers as linked lists and, in Section 7,
 recommends replacing them with hash tables keyed by the member tuple of the
-anchor relation ``R_i``.  The engine now runs on the unified, dual-indexed
-store subsystem in :mod:`repro.core.store` (anchor-tuple buckets plus
-relation-set groups, over the interned bitset
-:class:`~repro.core.tupleset.TupleSet` representation).
+anchor relation ``R_i``.  Three containers live here:
 
-This module keeps the original, straightforward implementations — the same
-public interface, backed by plain lists and single-level hash buckets.  They
-are retained deliberately:
-
-* as the executable reference the randomized equivalence tests
-  (``tests/core/test_tupleset_equivalence.py``) run side by side with the
-  indexed store, and
-* for callers and experiments that want the paper's literal linked-list
-  behaviour.
-
-Three containers are provided:
-
-* :class:`CompleteStore` — already-printed results; answers "is ``T'``
-  contained in some stored set?".
-* :class:`ListIncompletePool` — the ``Incomplete`` list of ``IncrementalFD``;
-  positional list semantics matching the paper's linked list.
+* :class:`ListIncompletePool` — the ``Incomplete`` list of ``IncrementalFD``,
+  with the positional semantics of the paper's linked list, kept as a list
+  of slot objects that serve as O(1) position handles for the Line 15
+  replacement (vacated, not deleted, when the union is already queued).
 * :class:`PriorityIncompletePool` — the ``Incomplete_i`` priority queues of
-  ``PriorityIncrementalFD``; extraction by highest rank.
+  ``PriorityIncrementalFD``; extraction by highest rank from a lazily
+  pruned heap.
+* :class:`CompleteStore` — already-printed results; answers "is ``T'``
+  contained in some stored set?" with a plain list and a single-level hash
+  index.  The engine runs on the dual-indexed store of
+  :mod:`repro.core.store`; this one is kept as the executable reference
+  the randomized equivalence tests
+  (``tests/core/test_tupleset_equivalence.py``) run beside it.
 
-All containers count the tuple sets they scan in a :class:`PoolStatistics`
-(shared with :mod:`repro.core.store`), which the benchmarks use as a
+Both pools are the engine's own (:mod:`repro.core.store` re-exports them).
+With ``use_index`` on, each keeps a Section 7 hash index from anchor tuple
+to an insertion-ordered dict of the queued sets holding it, and the Line 14
+merge probe returns one bucket.  Cost model: ``replace``, membership and
+the index upkeep are O(1); the list pool's ``add`` at the insertion cursor
+and ``pop`` at the head are C-level list shifts (each vacated slot ``pop``
+drops is paid once); the merge probe copies its bucket; the heap pays
+O(log n) per push and pop.
+
+All containers count their work in a :class:`PoolStatistics` (shared with
+:mod:`repro.core.store`), which the benchmarks use as a
 machine-independent work measure.
 """
 
@@ -159,12 +160,35 @@ class CompleteStore:
         return list(self._sets)
 
 
+class _Slot:
+    """A position handle in the ``Incomplete`` list: one mutable cell.
+
+    ``item`` is the queued tuple set, or ``None`` once the slot is vacated.
+    """
+
+    __slots__ = ("item",)
+
+    def __init__(self, item: TupleSet) -> None:
+        self.item = item
+
+
 class ListIncompletePool:
     """The ``Incomplete`` list of ``IncrementalFD``, with positional semantics.
 
     The list behaves like the paper's linked list: ``pop`` removes the head,
     ``replace`` keeps the replaced set's position, and newly inserted sets go
     where the ``extraction`` policy dictates.
+
+    Every queued set owns a :class:`_Slot` in ``_items``, and ``_members``
+    maps the set to its slot, so the Line 15 replacement rewrites the slot
+    in O(1) instead of searching the list.  When the union is already
+    queued elsewhere, the replaced set's slot is *vacated* (``item =
+    None``) rather than deleted: a vacated slot keeps its physical position,
+    so the insertion cursor stays valid, and it is skipped by ``pop``,
+    iteration and the full-scan probe, dropped when it reaches the head or
+    tail, and compacted away by :meth:`discard_containing`.  The index
+    buckets are insertion-ordered dicts, so adding or dropping a member
+    there is O(1) as well.  ``len`` counts live sets only.
 
     Parameters
     ----------
@@ -197,20 +221,21 @@ class ListIncompletePool:
         self._anchor_relation = anchor_relation
         self._use_index = use_index
         self._extraction = extraction
-        self._items: List[TupleSet] = []
-        self._members = set()
+        self._items: List[_Slot] = []
+        self._members: Dict[TupleSet, _Slot] = {}
+        # Physical index in ``_items`` where "paper" extraction inserts next.
         self._insert_cursor = 0
-        self._buckets: Dict[Tuple, List[TupleSet]] = {}
+        self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._members)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._members)
 
     def __iter__(self) -> Iterator[TupleSet]:
-        return iter(list(self._items))
+        return iter(self.as_list())
 
     def __contains__(self, tuple_set: TupleSet) -> bool:
         return tuple_set in self._members
@@ -222,39 +247,38 @@ class ListIncompletePool:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
-                self._buckets.setdefault(anchor, []).append(tuple_set)
+                self._buckets.setdefault(anchor, {})[tuple_set] = None
 
     def _index_discard(self, tuple_set: TupleSet) -> None:
         if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                bucket = self._buckets.get(anchor)
-                if bucket is not None and tuple_set in bucket:
-                    bucket.remove(tuple_set)
+            bucket = self._buckets.get(self._anchor_of(tuple_set))
+            if bucket is not None:
+                bucket.pop(tuple_set, None)
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
         if tuple_set in self._members:
             return
+        slot = _Slot(tuple_set)
         if self._extraction == "paper":
-            self._items.insert(self._insert_cursor, tuple_set)
+            self._items.insert(self._insert_cursor, slot)
             self._insert_cursor += 1
         else:
-            self._items.append(tuple_set)
-        self._members.add(tuple_set)
+            self._items.append(slot)
+        self._members[tuple_set] = slot
         self.statistics.additions += 1
-        self.statistics.peak_size = max(self.statistics.peak_size, len(self._items))
+        self.statistics.peak_size = max(self.statistics.peak_size, len(self._members))
         self._index_add(tuple_set)
 
     def pop(self) -> TupleSet:
         """Remove and return the next tuple set to extend (Line 1)."""
-        if not self._items:
+        if not self._members:
             raise IndexError("pop from an empty Incomplete pool")
-        if self._extraction == "lifo":
-            tuple_set = self._items.pop()
-        else:
-            tuple_set = self._items.pop(0)
-        self._members.discard(tuple_set)
+        end = -1 if self._extraction == "lifo" else 0
+        tuple_set = self._items.pop(end).item
+        while tuple_set is None:  # drop vacated slots on the way
+            tuple_set = self._items.pop(end).item
+        del self._members[tuple_set]
         self._index_discard(tuple_set)
         self._insert_cursor = 0
         self.statistics.removals += 1
@@ -270,29 +294,28 @@ class ListIncompletePool:
         if self._use_index:
             anchor = self._anchor_of(probe)
             if anchor is not None:
+                self.statistics.bucket_probes += 1
                 bucket = list(self._buckets.get(anchor, ()))
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
-        live = list(self._items)
+        self.statistics.full_scans += 1
+        live = self.as_list()
         self.statistics.sets_scanned += len(live)
         return live
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
-        """Replace ``old`` by ``new`` (Line 15), in place."""
-        if old not in self._members:
+        """Replace ``old`` by ``new`` (Line 15), in place, through its slot."""
+        slot = self._members.pop(old, None)
+        if slot is None:
             raise KeyError(f"{old!r} is not in the Incomplete pool")
-        position = self._items.index(old)
-        self._members.discard(old)
         self._index_discard(old)
         self.statistics.replacements += 1
         if new in self._members:
-            # The union already exists elsewhere in the list; just drop ``old``.
-            del self._items[position]
-            if position < self._insert_cursor:
-                self._insert_cursor -= 1
+            # The union is already queued elsewhere; just drop ``old``.
+            slot.item = None
             return
-        self._items[position] = new
-        self._members.add(new)
+        slot.item = new
+        self._members[new] = slot
         self._index_add(new)
 
     def discard_containing(self, dead_tuples) -> int:
@@ -300,25 +323,26 @@ class ListIncompletePool:
 
         A queued set containing a deleted tuple can never extend into a
         result of the post-deletion database; it is dropped from the list,
-        the membership set and the index in one sweep, without touching the
-        surviving members.  Returns the number of sets evicted.
+        the membership map and the index in one sweep, without touching the
+        surviving members.  A sweep that evicts also compacts vacated slots
+        away.  Returns the number of sets evicted.
         """
         dead = set(dead_tuples)
-        if not dead or not self._items:
+        if not dead or not self._members:
             return 0
         from repro.core.kernels import active_kernel
 
-        flags = active_kernel().batch_contains_dead(self._items, dead)
-        kept: List[TupleSet] = []
-        evicted = 0
-        for tuple_set, hit in zip(self._items, flags):
+        live = [slot for slot in self._items if slot.item is not None]
+        flags = active_kernel().batch_contains_dead([slot.item for slot in live], dead)
+        kept: List[_Slot] = []
+        for slot, hit in zip(live, flags):
             if hit:
-                evicted += 1
-                self._members.discard(tuple_set)
-                self._index_discard(tuple_set)
+                del self._members[slot.item]
+                self._index_discard(slot.item)
                 self.statistics.removals += 1
             else:
-                kept.append(tuple_set)
+                kept.append(slot)
+        evicted = len(live) - len(kept)
         if evicted:
             self._items = kept
             self._insert_cursor = 0
@@ -326,8 +350,7 @@ class ListIncompletePool:
 
     def as_list(self) -> List[TupleSet]:
         """The live member sets in list order (used by the trace harness)."""
-        return list(self._items)
-
+        return [slot.item for slot in self._items if slot.item is not None]
 
 
 class PriorityIncompletePool:
@@ -335,7 +358,11 @@ class PriorityIncompletePool:
 
     Extraction returns the member set with the highest rank according to the
     supplied ranking function.  Ties are broken by insertion order, which
-    keeps runs deterministic.
+    keeps runs deterministic.  Removed and replaced sets leave their heap
+    entries behind, pruned lazily when ``peek`` or ``pop`` finds them at the
+    top, so a set queued again before that keeps its earlier entry's place
+    among equal ranks.  The index buckets are insertion-ordered dicts, so a
+    removal there is one ``pop``.
     """
 
     def __init__(
@@ -350,7 +377,7 @@ class PriorityIncompletePool:
         self._heap: List = []
         self._members = set()
         self._counter = itertools.count()
-        self._buckets: Dict[Tuple, List[TupleSet]] = {}
+        self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -368,19 +395,22 @@ class PriorityIncompletePool:
     def _anchor_of(self, tuple_set: TupleSet) -> Optional[Tuple]:
         return tuple_set.tuple_from(self._anchor_relation)
 
+    def _push(self, tuple_set: TupleSet) -> None:
+        score = self._ranking(tuple_set)
+        heapq.heappush(self._heap, (-score, next(self._counter), tuple_set))
+        self._members.add(tuple_set)
+        if self._use_index:
+            anchor = self._anchor_of(tuple_set)
+            if anchor is not None:
+                self._buckets.setdefault(anchor, {})[tuple_set] = None
+
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set, keyed by its rank."""
         if tuple_set in self._members:
             return
-        score = self._ranking(tuple_set)
-        heapq.heappush(self._heap, (-score, next(self._counter), tuple_set))
-        self._members.add(tuple_set)
+        self._push(tuple_set)
         self.statistics.additions += 1
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._members))
-        if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                self._buckets.setdefault(anchor, []).append(tuple_set)
 
     def _prune(self) -> None:
         while self._heap and self._heap[0][2] not in self._members:
@@ -413,20 +443,20 @@ class PriorityIncompletePool:
     def _discard(self, tuple_set: TupleSet) -> None:
         self._members.discard(tuple_set)
         if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                bucket = self._buckets.get(anchor)
-                if bucket is not None and tuple_set in bucket:
-                    bucket.remove(tuple_set)
+            bucket = self._buckets.get(self._anchor_of(tuple_set))
+            if bucket is not None:
+                bucket.pop(tuple_set, None)
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
         """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
         if self._use_index:
             anchor = self._anchor_of(probe)
             if anchor is not None:
-                bucket = [s for s in self._buckets.get(anchor, ()) if s in self._members]
+                self.statistics.bucket_probes += 1
+                bucket = list(self._buckets.get(anchor, ()))
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
+        self.statistics.full_scans += 1
         live = list(self._members)
         self.statistics.sets_scanned += len(live)
         return live
@@ -438,13 +468,7 @@ class PriorityIncompletePool:
         self._discard(old)
         self.statistics.replacements += 1
         if new not in self._members:
-            score = self._ranking(new)
-            heapq.heappush(self._heap, (-score, next(self._counter), new))
-            self._members.add(new)
-            if self._use_index:
-                anchor = self._anchor_of(new)
-                if anchor is not None:
-                    self._buckets.setdefault(anchor, []).append(new)
+            self._push(new)
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).

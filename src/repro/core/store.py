@@ -13,21 +13,20 @@ subsystem implementing that recommendation on top of the interned
   each bucket, by their relation set.  A superset probe therefore touches
   only the bucket of its anchor tuple, skips whole relation-set groups that
   cannot contain a superset, and decides each remaining candidate with one
-  bitmask comparison.
+  bitmask comparison.  It is a from-scratch reimplementation of the
+  reference :class:`repro.core.pools.CompleteStore`, whose probe strategy
+  it genuinely differs from.
 * :class:`ListIncompletePool` / :class:`PriorityIncompletePool` — the
-  ``Incomplete`` containers, extending the reference implementations in
-  :mod:`repro.core.pools` (which own the paper's positional and heap
-  semantics) with the instrumented anchor-bucket merge probe.
+  ``Incomplete`` containers, re-exported from :mod:`repro.core.pools`,
+  which owns them whole: the paper's positional and heap semantics, the
+  O(1) slot handles behind the Line 15 replacement, and the instrumented
+  anchor-bucket merge probe of Line 14.
 
-:class:`CompleteStore` is a from-scratch reimplementation — its probe
-strategy genuinely differs from the reference — while the two pools
-deliberately *subclass* the reference classes so the extraction semantics
-exist in exactly one place.  All containers fill in a
-:class:`~repro.core.pools.PoolStatistics`, the machine-independent work
-measure the benchmarks (E1, E6) report: ``sets_scanned`` counts subset/merge
-tests actually performed, ``bucket_probes`` counts index buckets and
-relation-set groups inspected, and ``full_scans`` counts probes that had to
-fall back to a full traversal.
+All containers fill in a :class:`~repro.core.pools.PoolStatistics`, the
+machine-independent work measure the benchmarks (E1, E6) report:
+``sets_scanned`` counts subset/merge tests actually performed,
+``bucket_probes`` counts index buckets and relation-set groups inspected,
+and ``full_scans`` counts probes that had to fall back to a full traversal.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from repro.relational.tuples import Tuple
 from repro.core.kernels import active_kernel
-from repro.core.pools import (
-    ListIncompletePool as _ReferenceListIncompletePool,
-    PoolStatistics,
-    PriorityIncompletePool as _ReferencePriorityIncompletePool,
-)
+from repro.core.pools import ListIncompletePool, PoolStatistics, PriorityIncompletePool
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
 
@@ -259,57 +254,6 @@ class CompleteStore:
         span.annotate(retracted=len(retracted))
         span.close()
         return retracted
-
-
-class ListIncompletePool(_ReferenceListIncompletePool):
-    """The reference ``Incomplete`` list with an instrumented merge probe.
-
-    Extraction, insertion and replacement semantics are inherited verbatim
-    from :class:`repro.core.pools.ListIncompletePool`; only the Line 14
-    probe is overridden to count bucket probes and full-scan fallbacks.
-    """
-
-    def candidates(self, probe: TupleSet) -> List[TupleSet]:
-        """Member sets that might merge with ``probe`` (Line 14 probe).
-
-        With the index enabled only the bucket of ``probe``'s anchor tuple is
-        returned; a set with a different ``R_i`` tuple can never merge with
-        ``probe`` because their union would hold two tuples of ``R_i``.
-        """
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                self.statistics.bucket_probes += 1
-                bucket = list(self._buckets.get(anchor, ()))
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        self.statistics.full_scans += 1
-        live = list(self._items)
-        self.statistics.sets_scanned += len(live)
-        return live
-
-
-class PriorityIncompletePool(_ReferencePriorityIncompletePool):
-    """The reference priority ``Incomplete_i`` queue with an instrumented probe.
-
-    Rank extraction and tie-breaking are inherited verbatim from
-    :class:`repro.core.pools.PriorityIncompletePool`; only the Line 14 probe
-    is overridden to count bucket probes and full-scan fallbacks.
-    """
-
-    def candidates(self, probe: TupleSet) -> List[TupleSet]:
-        """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                self.statistics.bucket_probes += 1
-                bucket = [s for s in self._buckets.get(anchor, ()) if s in self._members]
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        self.statistics.full_scans += 1
-        live = list(self._members)
-        self.statistics.sets_scanned += len(live)
-        return live
 
 
 def record_store_statistics(statistics, *containers) -> None:

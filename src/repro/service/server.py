@@ -60,7 +60,7 @@ import json
 import os
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple as TupleType
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple as TupleType
 
 from repro.core.approx_join import (
     EditDistanceSimilarity,
@@ -794,29 +794,11 @@ class QueryServer:
         # its sessions in a long-running server.
         connection_sessions: set = set()
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.CancelledError:
-                    # Server shutdown with the connection still open: end the
-                    # handler normally so asyncio's stream teardown does not
-                    # log the cancellation as a task crash.
-                    break
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    response = {"ok": False, "error": f"bad JSON: {error}"}
-                else:
-                    try:
-                        response = await self.handle_request(
-                            request, connection_sessions
-                        )
-                    except Exception as error:  # serve errors, don't die
-                        response = {"ok": False, "error": str(error)}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+            await serve_json_lines(
+                reader,
+                writer,
+                lambda request: self.handle_request(request, connection_sessions),
+            )
         finally:
             for name in connection_sessions:
                 session = self._sessions.pop(name, None)
@@ -835,6 +817,66 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):  # pragma: no cover
                 pass
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line; ``b""`` at end of stream.
+
+    A line longer than the reader's limit is skipped through its newline
+    (or the end of the stream) in limit-sized pieces and reported as
+    ``None``, so the caller can refuse it and the next line is read as a
+    fresh request.  A stream that ends inside the long line reads ``b""``
+    on the following call, which closes the connection.
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial  # end of stream: an unterminated last line
+        except asyncio.LimitOverrunError as error:
+            too_long = True
+            await reader.readexactly(error.consumed)
+            continue
+        return None if too_long else line
+
+
+async def serve_json_lines(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle: Callable[[dict], Awaitable[dict]],
+) -> None:
+    """The JSON-lines request loop shared by the server and the router.
+
+    Every request line gets one reply line on the same connection: the
+    handler's response, or ``{"ok": false, "error": ...}`` when the line is
+    over the stream limit, is not UTF-8 JSON, or the handler raises.
+    Returns at end of stream or when the server is shut down.
+    """
+    while True:
+        try:
+            line = await _read_request_line(reader)
+        except asyncio.CancelledError:
+            # Server shutdown with the connection still open: end the
+            # handler normally so asyncio's stream teardown does not log
+            # the cancellation as a task crash.
+            return
+        if line is None:
+            response = {"ok": False, "error": "request line too long"}
+        elif not line:
+            return
+        else:
+            try:
+                request = json.loads(line)
+            except ValueError as error:  # bad JSON or not UTF-8
+                response = {"ok": False, "error": f"bad JSON: {error}"}
+            else:
+                try:
+                    response = await handle(request)
+                except Exception as error:  # serve errors, don't die
+                    response = {"ok": False, "error": str(error)}
+        writer.write(json.dumps(response).encode() + b"\n")
+        await writer.drain()
 
 
 def server_stats(state: QueryServer) -> dict:

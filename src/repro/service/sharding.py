@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import json
 import multiprocessing
 import os
 import pickle
@@ -63,6 +62,7 @@ from repro.service.server import (  # noqa: F401 - re-export
     _ROUTING_KEYS,
     client_call,
     open_routing_key,
+    serve_json_lines,
     start_server,
 )
 
@@ -452,26 +452,11 @@ class ShardedQueryServer:
     ) -> None:
         connection_sessions: set = set()
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.CancelledError:
-                    break
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    response = {"ok": False, "error": f"bad JSON: {error}"}
-                else:
-                    try:
-                        response = await self.handle_request(
-                            request, connection_sessions
-                        )
-                    except Exception as error:  # serve errors, don't die
-                        response = {"ok": False, "error": str(error)}
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+            await serve_json_lines(
+                reader,
+                writer,
+                lambda request: self.handle_request(request, connection_sessions),
+            )
         finally:
             # A dropped connection releases its sessions on the shards too.
             for name in connection_sessions:

@@ -1,11 +1,15 @@
 """Tests for the Complete store and the Incomplete pools."""
 
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.pools import CompleteStore, ListIncompletePool, PriorityIncompletePool
 from repro.core.ranking import MaxRanking
 from repro.core.tupleset import TupleSet
-from repro.workloads.tourist import tourist_importance
+from repro.workloads.tourist import tourist_database, tourist_importance
 
 
 def by_label(db, *labels):
@@ -137,6 +141,19 @@ class TestListIncompletePool:
         pool.replace(a, b)
         assert pool.as_list() == [b]
 
+    def test_replace_onto_queued_union_keeps_the_insertion_point(self, tourist_db):
+        pool = ListIncompletePool("Climates")
+        a, b = by_label(tourist_db, "c1"), by_label(tourist_db, "c2")
+        pool.add(a)
+        pool.add(b)
+        pool.pop()
+        fresh = by_label(tourist_db, "c1", "a2")
+        pool.add(fresh)
+        pool.replace(fresh, b)  # the union is already queued
+        later = by_label(tourist_db, "c1", "s2")
+        pool.add(later)
+        assert pool.as_list() == [later, b]
+
     def test_replace_of_absent_member_raises(self, tourist_db):
         pool = ListIncompletePool("Climates")
         with pytest.raises(KeyError):
@@ -235,3 +252,210 @@ class TestPriorityIncompletePool:
         pool = PriorityIncompletePool("Climates", ranking)
         with pytest.raises(KeyError):
             pool.replace(by_label(tourist_db, "c1"), by_label(tourist_db, "c2"))
+
+
+# --------------------------------------------------------------------- #
+# model-based: random operation sequences against plain-list models
+# --------------------------------------------------------------------- #
+_DB = tourist_database()
+_EXTRAS = ["a1", "a2", "s1", "s2", "s3"]
+#: Anchor-bearing sets: one Climates tuple plus at most two other tuples.
+_UNIVERSE = [
+    by_label(_DB, anchor, *extra)
+    for anchor in ("c1", "c2", "c3")
+    for size in range(3)
+    for extra in itertools.combinations(_EXTRAS, size)
+]
+_TUPLES = [_DB.tuple_by_label(label) for label in ["c1", "c2", "c3"] + _EXTRAS]
+
+_ADD = st.tuples(st.just("add"), st.integers(0, len(_UNIVERSE) - 1))
+# replace(member #i, universe set #j), or by another member (#j) when the
+# flag is set: the "union already queued" branch of Line 15.
+_REPLACE = st.tuples(st.just("replace"), st.integers(0, 50), st.integers(0, 50), st.booleans())
+_OPS = st.lists(
+    # Adds and replaces are drawn more often than the cursor-resetting pop
+    # and eviction, so runs of inserts around vacated slots are common.
+    st.one_of(
+        _ADD,
+        _ADD,
+        _ADD,
+        _REPLACE,
+        _REPLACE,
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("discard"), st.integers(0, len(_TUPLES) - 1)),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+MODEL_RUNS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class _ListModel:
+    """The paper's linked list, spelled with ``list.insert``/``list.index``."""
+
+    def __init__(self, extraction):
+        self.extraction, self.items, self.cursor = extraction, [], 0
+        self.arrival = {}  # member -> when it entered the pool (bucket order)
+        self.clock = itertools.count()
+
+    def add(self, s):
+        if s in self.items:
+            return
+        if self.extraction == "paper":
+            self.items.insert(self.cursor, s)
+            self.cursor += 1
+        else:
+            self.items.append(s)
+        self.arrival[s] = next(self.clock)
+
+    def pop(self):
+        self.cursor = 0
+        return self.items.pop(-1 if self.extraction == "lifo" else 0)
+
+    def replace(self, old, new):
+        position = self.items.index(old)
+        if new in self.items:
+            del self.items[position]
+            self.cursor -= position < self.cursor
+        else:
+            self.items[position] = new
+            self.arrival[new] = next(self.clock)
+
+    def discard_containing(self, dead):
+        kept = [s for s in self.items if dead not in s]
+        if len(kept) < len(self.items):
+            self.items, self.cursor = kept, 0
+
+    def bucket(self, probe):
+        anchor = probe.tuple_from("Climates")
+        same = [s for s in self.items if s.tuple_from("Climates") == anchor]
+        return sorted(same, key=self.arrival.__getitem__)
+
+
+def _run_ops(ops, pool, model, members, check):
+    for op in ops:
+        if op[0] == "add":
+            pool.add(_UNIVERSE[op[1]])
+            model.add(_UNIVERSE[op[1]])
+        elif op[0] == "pop":
+            if members():
+                assert pool.pop() == model.pop()
+            else:
+                with pytest.raises(IndexError):
+                    pool.pop()
+        elif op[0] == "replace":
+            current = members()
+            if not current:
+                continue
+            old = current[op[1] % len(current)]
+            new = current[op[2] % len(current)] if op[3] else _UNIVERSE[op[2] % len(_UNIVERSE)]
+            if new == old:
+                continue
+            pool.replace(old, new)
+            model.replace(old, new)
+        else:
+            dead = _TUPLES[op[1]]
+            before = len(pool)
+            evicted = pool.discard_containing([dead])
+            model.discard_containing(dead)
+            assert evicted == before - len(pool)
+        check()
+
+
+@MODEL_RUNS
+@given(ops=_OPS, use_index=st.booleans())
+@pytest.mark.parametrize("extraction", ListIncompletePool.EXTRACTION_ORDERS)
+def test_list_pool_matches_plain_list_model(extraction, ops, use_index):
+    pool = ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
+    model = _ListModel(extraction)
+
+    def check():
+        assert pool.as_list() == model.items
+        assert list(pool) == model.items
+        assert len(pool) == len(model.items) and bool(pool) == bool(model.items)
+        assert all((s in pool) == (s in model.items) for s in _UNIVERSE)
+        for probe in _UNIVERSE[:: len(_UNIVERSE) // 3]:
+            expected = model.bucket(probe) if use_index else model.items
+            assert pool.candidates(probe) == expected
+
+    _run_ops(ops, pool, model, lambda: list(model.items), check)
+    while model.items:
+        assert pool.pop() == model.pop()
+    assert not pool
+
+
+class _PriorityModel:
+    """Rank-ordered extraction, ties by arrival, as a sorted plain list.
+
+    Removal is lazy, as in the heap: a removed set's entry stays until a
+    ``peek`` or ``pop`` finds it at the front, so a set queued again before
+    that keeps the place of its earlier entry among equal ranks.
+    """
+
+    def __init__(self, ranking):
+        self.ranking, self.entries, self.live = ranking, [], set()
+        self.arrival, self.clock = {}, itertools.count()
+
+    def order(self):
+        live = [s for _, _, s in self.entries if s in self.live]
+        return list(dict.fromkeys(live))
+
+    def _push(self, s):
+        self.arrival[s] = next(self.clock)
+        self.entries.append((-self.ranking(s), self.arrival[s], s))
+        self.entries.sort(key=lambda entry: entry[:2])
+        self.live.add(s)
+
+    def add(self, s):
+        if s not in self.live:
+            self._push(s)
+
+    def peek(self):
+        while self.entries and self.entries[0][2] not in self.live:
+            del self.entries[0]
+        return self.entries[0][2] if self.entries else None
+
+    def pop(self):
+        s = self.peek()
+        del self.entries[0]
+        self.live.discard(s)
+        return s
+
+    def replace(self, old, new):
+        self.live.discard(old)
+        self.add(new)
+
+    def discard_containing(self, dead):
+        self.live = {s for s in self.live if dead not in s}
+
+    def bucket(self, probe):
+        anchor = probe.tuple_from("Climates")
+        same = [s for s in self.live if s.tuple_from("Climates") == anchor]
+        return sorted(same, key=self.arrival.__getitem__)
+
+
+@MODEL_RUNS
+@given(ops=_OPS, use_index=st.booleans())
+def test_priority_pool_matches_sorted_list_model(ops, use_index):
+    ranking = lambda ts: float(len(ts))  # noqa: E731 - many ties on purpose
+    pool = PriorityIncompletePool("Climates", ranking, use_index=use_index)
+    model = _PriorityModel(ranking)
+
+    def check():
+        assert pool.peek() == model.peek()
+        order = model.order()
+        assert len(pool) == len(order) and bool(pool) == bool(order)
+        assert all((s in pool) == (s in order) for s in _UNIVERSE)
+        for probe in _UNIVERSE[:: len(_UNIVERSE) // 3]:
+            if use_index:
+                assert pool.candidates(probe) == model.bucket(probe)
+            else:
+                assert sorted(pool.candidates(probe), key=order.index) == order
+
+    _run_ops(ops, pool, model, model.order, check)
+    while model.live:
+        assert pool.pop() == model.pop()
+    assert not pool

@@ -43,6 +43,55 @@ async def _with_server(database, scenario):
         await server.wait_closed()
 
 
+async def exchange_bad_lines(port):
+    """Send lines the server cannot serve, each followed by a good request.
+
+    Returns the replies in order and whatever the connection yields after
+    a final over-long line cut short by the end of the stream.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        replies = []
+        # Over asyncio's 64 KiB line limit, arriving in one write.
+        padded = {"op": "ping", "pad": "x" * 100_000}
+        writer.write(json.dumps(padded).encode() + b"\n")
+        await writer.drain()
+        replies.append(json.loads(await reader.readline()))
+        replies.append(await client_call(reader, writer, {"op": "ping"}))
+        # Over the limit several times, arriving in pieces.
+        for _ in range(4):
+            writer.write(b"y" * 50_000)
+            await writer.drain()
+        writer.write(b"\n")
+        await writer.drain()
+        replies.append(json.loads(await reader.readline()))
+        replies.append(await client_call(reader, writer, {"op": "ping"}))
+        # Not UTF-8.
+        writer.write(b'{"op": "\xc3\x28"}\n')
+        await writer.drain()
+        replies.append(json.loads(await reader.readline()))
+        replies.append(await client_call(reader, writer, {"op": "ping"}))
+        # An over-long line the stream ends inside: refused, then closed.
+        writer.write(b"z" * 100_000)
+        writer.write_eof()
+        replies.append(json.loads(await reader.readline()))
+        return replies, await reader.read()
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def assert_bad_lines_refused(replies, tail):
+    too_long, after_long, split, after_split, not_utf8, after_utf8, cut = replies
+    for refused in (too_long, split, cut):
+        assert refused == {"ok": False, "error": "request line too long"}
+    assert not not_utf8["ok"] and "bad JSON" in not_utf8["error"]
+    assert not_utf8["error"].endswith("invalid continuation byte")
+    for alive in (after_long, after_split, after_utf8):
+        assert alive["ok"] and alive["pong"]
+    assert tail == b""
+
+
 class TestServer:
     def test_four_concurrent_clients_match_serial(self):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
@@ -246,6 +295,12 @@ class TestServer:
         assert not garbled["ok"] and "bad JSON" in garbled["error"]
         assert not missing["ok"] and "no session" in missing["error"]
         assert still_alive["ok"] and still_alive["pong"]
+
+    def test_bad_request_lines_get_error_replies_on_the_same_connection(self):
+        replies, tail = _run(
+            _with_server(tourist_database(), lambda state, port: exchange_bad_lines(port))
+        )
+        assert_bad_lines_refused(replies, tail)
 
     def test_disconnect_releases_the_connections_sessions(self):
         """Dropping the socket without a close op must not leak sessions."""

@@ -25,6 +25,8 @@ from repro.service.sharding import (
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.service.test_server import assert_bad_lines_refused, exchange_bad_lines
+
 
 def _run(coroutine):
     return asyncio.run(coroutine)
@@ -316,6 +318,22 @@ class TestEndToEnd:
                 await router.shutdown()
 
         _run(scenario())
+
+
+class TestRouterWire:
+    def test_bad_request_lines_get_error_replies_on_the_same_connection(self):
+        router, _ = _local_router(tourist_database(), shards=2)
+
+        async def scenario():
+            server = await asyncio.start_server(router.handle_connection, "127.0.0.1", 0)
+            try:
+                return await exchange_bad_lines(server.sockets[0].getsockname()[1])
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        replies, tail = _run(scenario())
+        assert_bad_lines_refused(replies, tail)
 
 
 class TestRouterValidation:
