@@ -100,7 +100,7 @@ def test_e15_observability_overhead(benchmark, report_table):
         # same chunk boundaries, same exhaustion point — or the timing
         # comparison is meaningless.
         assert transcripts[True] == transcripts[False]
-        assert states[True].backend.steps == states[False].backend.steps
+        assert states[True].steps == states[False].steps
         overhead = best[True] / best[False] - 1.0
         assert overhead <= MAX_OVERHEAD, (
             f"metrics overhead {overhead:.1%} exceeds {MAX_OVERHEAD:.0%} on "

@@ -321,7 +321,7 @@ def _stream_first_k(database, k):
     started = time.perf_counter()
     results = [
         tuple(sorted(ts.labels()))
-        for ts in first_k(database, k, backend="batched", statistics=statistics)
+        for ts in first_k(database, k, backend="serial", statistics=statistics)
     ]
     seconds = time.perf_counter() - started
     return results, statistics.extras.get("complete_sets_scanned", 0), seconds
@@ -341,7 +341,7 @@ def test_e17b_in_ram_sized_latency(tmp_path, report_table):
     assert att_scanned == ram_scanned
     ratio = att_seconds / ram_seconds
     report_table(
-        f"E17b: first-{LATENCY_K} latency, RAM vs attached mirror (batched)",
+        f"E17b: first-{LATENCY_K} latency, RAM vs attached mirror (serial)",
         ["backing", "first-k (s)", "sets scanned", "vs RAM"],
         [
             ["ram", f"{ram_seconds:.3f}", ram_scanned, "1.00x"],

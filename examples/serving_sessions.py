@@ -12,8 +12,9 @@ example:
 3. ingest streamed arrivals through the delta maintainer — each arrival
    seeds only its own singleton, and the open session observes the new
    results without restarting, and
-4. multiplex several clients on one event loop through the ``async``
-   execution backend, with strict round-robin fairness.
+4. multiplex several clients on one event loop through the server's
+   :meth:`~repro.service.server.QueryServer.drive`, which hands the loop
+   back after every ``GetNextResult`` step.
 
 Run with::
 
@@ -22,9 +23,11 @@ Run with::
 
 from __future__ import annotations
 
+import asyncio
+
 from repro import PrefixCache, StreamingFullDisjunction, open_session
-from repro.exec import AsyncBackend
 from repro.service.cache import database_generation
+from repro.service.server import QueryServer
 from repro.workloads.streaming import hold_back_arrivals
 from repro.workloads.tourist import tourist_database
 
@@ -73,16 +76,20 @@ def main() -> None:
 
     print()
     print("== 4. fair multiplexing on one event loop =================")
-    backend = AsyncBackend()
+    server = QueryServer(database)
     sessions = [
         open_session(database, "fd", use_index=True, name=f"client-{i}")
         for i in range(3)
     ]
-    per_client = backend.serve_first_k(sessions, 4)
+
+    async def serve_all():
+        return await asyncio.gather(*(server.drive(s, 4) for s in sessions))
+
+    per_client = asyncio.run(serve_all())
     for session_obj, results in zip(sessions, per_client):
         print(f"  {session_obj.name}: {[labels(ts) for ts in results]}")
         session_obj.close()
-    print("steps per session:", backend.steps)
+    print("steps per session:", dict(server.steps))
 
 
 if __name__ == "__main__":

@@ -224,15 +224,15 @@ class BenchArtifacts:
 
 
 #: Backend sweep used by the E1/E6 execution-backend axes.
-DEFAULT_BENCH_BACKENDS = ("serial", "batched", "sharded:2")
+DEFAULT_BENCH_BACKENDS = ("serial", "sharded:2")
 
 
 def backends_under_test() -> List[str]:
     """Backend specs the benchmarks sweep over.
 
-    Defaults to serial, batched and 2-worker sharded; override with a
+    Defaults to serial and 2-worker sharded; override with a
     comma-separated ``REPRO_BENCH_BACKENDS`` (the CI smoke job restricts the
-    sweep to ``batched,sharded:2``).
+    sweep to ``sharded:2``).
     """
     raw = os.environ.get("REPRO_BENCH_BACKENDS", "")
     specs = [spec.strip() for spec in raw.split(",") if spec.strip()]

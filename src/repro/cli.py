@@ -21,7 +21,7 @@ Examples
     python -m repro serve sources/*.csv --port 7411
     python -m repro serve --workload star --smoke-clients 4
     python -m repro serve --workload star --port 7411 --metrics-port 9100
-    python -m repro trace star --out trace.json --backend batched
+    python -m repro trace star --out trace.json --backend sharded
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKENDS,
         default="serial",
-        help="execution backend: serial reference, anchor-bucket batched, or "
-        "process-sharded passes (identical results either way)",
+        help="execution backend: the serial reference, or anchor-bucket ranges "
+        "sharded across worker processes (the same answers either way)",
     )
     parser.add_argument(
         "--workers",
@@ -176,7 +176,7 @@ def _command_stream(arguments: argparse.Namespace) -> int:
         raise SystemExit(
             "error: --backend sharded is not supported with --mode delta "
             "(the per-arrival delta pass is a single in-process loop); "
-            "use serial, batched or async"
+            "use serial"
         )
     if arguments.mutations < 0:
         raise SystemExit("error: --mutations must be non-negative")

@@ -50,7 +50,7 @@ from typing import (
 
 from repro.relational.database import Database
 from repro.relational.errors import DatabaseError
-from repro.core.kernels import BigintKernel, tag_kernel
+from repro.core.kernels import tag_kernel
 from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.store import (
     CompleteStore,
@@ -149,9 +149,6 @@ AnchorSpec = Union[int, str]
 #: Either of the Incomplete pool implementations accepted by ``get_next_result``.
 IncompletePool = Union[ListIncompletePool, PriorityIncompletePool]
 
-#: The kernel of the serial step: the paper's per-tuple loops, verbatim.
-REFERENCE_KERNEL = BigintKernel()
-
 
 def resolve_anchor(database: Database, anchor: AnchorSpec) -> str:
     """Normalise an anchor given as a relation name or a zero-based index."""
@@ -218,14 +215,13 @@ def get_next_result(
     """
     if scanner is None:
         scanner = TupleScanner(database)
-    kernel = REFERENCE_KERNEL
     first_merge = predicate.first_merge
 
     # Line 1: remove a tuple set from Incomplete.
     result = incomplete.pop()
 
     # Lines 2-6: extend it maximally.
-    result = predicate.extend(result, scanner, statistics, kernel)
+    result = predicate.extend(result, scanner, statistics)
 
     # Lines 7-18: derive candidate tuple sets from the tuples left out.
     for candidate in predicate.candidates(result, scanner):
@@ -246,7 +242,7 @@ def get_next_result(
                 statistics.candidates_subsumed += 1
             continue
         # Lines 12-15: can it be merged into a waiting tuple set?
-        partner = first_merge(incomplete.candidates(candidate), candidate, kernel)
+        partner = first_merge(incomplete.candidates(candidate), candidate)
         if partner is not None:
             incomplete.replace(*partner)
             if statistics is not None:

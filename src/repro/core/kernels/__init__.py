@@ -1,7 +1,7 @@
 """Kernel selection: ``REPRO_KERNEL={bigint,packed}`` with NumPy gating.
 
-The store layer, the batched/sharded/async backends and the streaming
-retraction path route their inner loops through one process-wide
+The retraction sweeps of the stores and pools and the delta maintainer's
+maximal extension route their inner loops through one process-wide
 :class:`~repro.core.kernels.base.Kernel`:
 
 * ``bigint`` — the executable reference: per-candidate Python loops over

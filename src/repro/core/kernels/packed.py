@@ -305,9 +305,9 @@ class PackedMirror:
 class _GroupMatrix:
     """The packed (negated) rows of one store group, grown append-only.
 
-    ``CompleteStore`` groups only ever *gain* sets between retractions (the
-    store clears its kernel cache on retract), so the matrix extends by the
-    suffix on each probe.  ``ensure`` returns ``None`` when a group member is
+    A cached group may only *gain* sets (a caller that drops members must
+    drop the cache entry too), so the matrix extends by the suffix on each
+    probe.  ``ensure`` returns ``None`` when a group member is
     outside the packed representation — the caller then falls back whole.
     """
 

@@ -28,12 +28,11 @@ Two predicates ship: :data:`EXACT`, join consistency and connectivity over
 the catalog's interned bitsets, and :class:`ApproximatePredicate` for an
 approximate join function ``A`` and a threshold ``τ``.
 
-The step functions hand every predicate a kernel (:mod:`repro.core.kernels`):
-the serial step the big-int reference, the batched step the active one.  The
-exact predicate routes its extension and its merge probe through that
-kernel, so the serial exact step calls the same ``TupleSet`` methods, in the
-same order, as the paper's loops; the approximate predicate has no batched
-form and ignores it.
+The exact predicate's extension is the paper's loop,
+:func:`repro.core.incremental.maximally_extend`, and its merge probe asks
+``union_is_jcc`` then ``union`` of each waiting set in list order, so the
+exact step calls the same ``TupleSet`` methods, in the same order, as the
+paper's loops.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class JoinPredicate:
         """``tuple_set ∪ {t}`` when it still qualifies, ``None`` otherwise."""
         raise NotImplementedError
 
-    def extend(self, tuple_set: TupleSet, scanner, statistics, kernel) -> TupleSet:
+    def extend(self, tuple_set: TupleSet, scanner, statistics) -> TupleSet:
         """Lines 2–6: add qualifying tuples one at a time until a fixpoint.
 
         For an acceptable ``A`` every maximal qualifying superset is reachable
@@ -102,7 +101,7 @@ class JoinPredicate:
         raise NotImplementedError
 
     def first_merge(
-        self, waiting_list: Sequence[TupleSet], candidate: TupleSet, kernel
+        self, waiting_list: Sequence[TupleSet], candidate: TupleSet
     ) -> Optional[TupleType[TupleSet, TupleSet]]:
         """Lines 12–15: the first waiting set that merges with ``candidate``.
 
@@ -177,8 +176,12 @@ class ExactPredicate(JoinPredicate):
             return tuple_set.with_tuple(t)
         return None
 
-    def extend(self, tuple_set: TupleSet, scanner, statistics, kernel) -> TupleSet:
-        return kernel.maximally_extend(tuple_set, scanner, statistics)
+    def extend(self, tuple_set: TupleSet, scanner, statistics) -> TupleSet:
+        # Looked up at call time: the incremental module imports this one,
+        # and a wrapper installed on its name must see every extension.
+        from repro.core import incremental
+
+        return incremental.maximally_extend(tuple_set, scanner, statistics)
 
     def candidates(self, result: TupleSet, scanner) -> Iterator[TupleSet]:
         # Footnote 3: one candidate per outside tuple.
@@ -191,13 +194,6 @@ class ExactPredicate(JoinPredicate):
         if first.union_is_jcc(second):
             return first.union(second)
         return None
-
-    def first_merge(self, waiting_list, candidate, kernel):
-        index = kernel.first_jcc_union(waiting_list, candidate)
-        if index < 0:
-            return None
-        waiting = waiting_list[index]
-        return waiting, waiting.union(candidate)
 
 
 #: The exact predicate; every driver's default.

@@ -362,8 +362,8 @@ def priority_incremental_fd(
     backend:
         The :class:`~repro.exec.base.ExecutionBackend` (or its name) whose
         ``next_result`` schedules each step.  The output *order* is
-        backend-independent: rank extraction happens here, and the batched
-        step is exactly order-equivalent to the serial one.
+        backend-independent: rank extraction happens here, and every backend
+        runs the serial step.
 
     Yields
     ------

@@ -6,33 +6,27 @@ runs one ``IncrementalFD`` pass per relation (Corollary 4.9 / 6.7).
 Everything else — candidate generation, subsumption, merging — is a property
 of the *algorithm*, and the exact/approximate split inside it is a join
 predicate (:mod:`repro.core.predicate`) that every operation here takes as an
-argument; whether the steps run one tuple at a time, batched per anchor
-bucket, or fanned out across processes is a property of the *schedule*.
+argument; whether the passes run one after another or fan out across
+processes is a property of the *schedule*.
 
 :class:`ExecutionBackend` is that seam.  The two drivers — the incremental
 one (:mod:`repro.core.incremental`, :mod:`repro.core.full_disjunction`) and
 the priority one (:mod:`repro.core.priority`) — dispatch through a backend
-instead of hard-coding their loops, so the same algorithm runs under any of
-the five backends of :data:`repro.exec.BACKENDS`:
+instead of hard-coding their loops, so the same algorithm runs under either
+backend of :data:`repro.exec.BACKENDS`:
 
 * :class:`~repro.exec.serial.SerialBackend` — the paper's reference
   execution, extracted from the original driver loops;
-* :class:`~repro.exec.batched.BatchedBackend` — ``GetNextResult`` groups the
-  outside tuples of Lines 7–18 by anchor bucket and probes the dual-indexed
-  ``Complete`` store once per bucket instead of once per tuple;
-* :class:`~repro.exec.sharded.ShardedBackend` (``sharded`` and
-  ``sharded-pass``) — the per-relation passes of the ``singletons``
-  strategy run on a ``ProcessPoolExecutor``, split into anchor-bucket
-  ranges or as whole passes, with deterministic result and statistics
-  merging;
-* :class:`~repro.exec.asyncio_backend.AsyncBackend` — the batched steps,
-  multiplexed across many query sessions on one event loop.
+* :class:`~repro.exec.sharded.ShardedBackend` — the per-relation passes of
+  the ``singletons`` strategy run on a ``ProcessPoolExecutor``, split into
+  anchor-bucket ranges (or kept whole for predicates that are not
+  bucket-sound), with deterministic result and statistics merging.
 
-All backends are *observationally equivalent*: they produce the same result
-sets, and the serial, batched and async backends produce the identical
-result sequence (batching only amortizes probes against a store that cannot
-change within one ``GetNextResult`` call).  The cross-backend equivalence
-tests in ``tests/exec/test_backend_equivalence.py`` enforce this.
+Both run the one ``GetNextResult`` step,
+:func:`repro.core.incremental.get_next_result`, and produce the same result
+sets; the sharded backend emits them bucket-major, or in the serial order
+when its passes stay whole.  The cross-backend equivalence tests in
+``tests/exec/test_backend_equivalence.py`` enforce this.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ function is exactly :func:`repro.core.incremental.get_next_result`, and
 :meth:`SerialBackend.run_singleton_passes` is the independent-passes loop
 that used to live inline in :mod:`repro.core.full_disjunction`.  Both take
 the join predicate, so the same loop computes the exact and the approximate
-full disjunction.  It exists as a class so the batched and sharded backends
-can replace one operation at a time while inheriting the rest.
+full disjunction.  It exists as a class so the sharded backend can replace
+the pass schedule while inheriting the step.
 """
 
 from __future__ import annotations

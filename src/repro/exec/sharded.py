@@ -34,12 +34,12 @@ This backend therefore distributes **bucket ranges**, not whole passes:
   ``FDStatistics`` (``sets_scanned`` included) are byte-identical across
   worker counts and steal interleavings.
 
-``granularity="pass"`` keeps whole passes (:func:`plan_whole_passes`: one
-range per relation holding all its anchor tuples, so each task is one
-unrestricted pass and the output order is identical to serial).
-Approximate passes always take it: the bucket split is sound only for a
-join predicate whose :attr:`~repro.core.predicate.JoinPredicate.bucket_sound`
-holds, and the approximate predicate's does not — its starred Line-14 merge
+Approximate passes stay whole (:func:`plan_whole_passes`: one range per
+relation holding all its anchor tuples, so each task is one unrestricted
+pass and the output order is identical to serial).  The bucket split is
+sound only for a join predicate whose
+:attr:`~repro.core.predicate.JoinPredicate.bucket_sound` holds, and the
+approximate predicate's does not — its starred Line-14 merge
 (``A(S ∪ T') ≥ τ``) can join sets of two near-duplicate anchor tuples, so a
 merge may cross from one range into another (the full argument is on
 :class:`~repro.core.predicate.ApproximatePredicate`).  The predicate rides
@@ -55,8 +55,8 @@ the inherited in-process schedule with a warning rather than failing — the
 schedule is a performance choice, never a correctness one.
 
 Per-step scheduling (``next_result``) is inherited from
-:class:`~repro.exec.batched.BatchedBackend`: sharding composes with bucket
-batching instead of replacing it.
+:class:`~repro.exec.serial.SerialBackend`: every worker runs the serial
+``GetNextResult`` step over its range.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from repro.core.kernels import active_kernel, set_kernel
 from repro.core.predicate import EXACT, JoinPredicate
 from repro.core.scanner import make_scanner
 from repro.core.tupleset import TupleSet
-from repro.exec.batched import BatchedBackend
+from repro.exec.serial import SerialBackend
 
 #: A result shipped across the process boundary: its member tuples' keys.
 ResultKeys = FrozenSet[TupleType[str, str]]
@@ -274,7 +274,7 @@ def plan_bucket_ranges(
 def plan_whole_passes(
     database: Database,
 ) -> List[TupleType[str, List[List[str]]]]:
-    """The ``granularity="pass"`` plan: every pass is one range of all its anchor tuples.
+    """The plan for passes that are not bucket-sound: one range of all its anchor tuples.
 
     A range holding every ``R_i`` tuple restricts nothing, so each task is
     exactly one unrestricted ``IncrementalFD`` pass — sound under any join
@@ -299,7 +299,7 @@ def _bucket_range_worker(
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
     """One bucket range of one ``IncrementalFD`` pass, inside a worker.
 
-    Runs the batched pass under ``predicate``, restricted to the range's
+    Runs the serial pass under ``predicate``, restricted to the range's
     anchor tuples (the ``anchor_tuples`` bucket restriction; a range of all
     of them is a whole pass), and ships the results back as
     frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
@@ -331,7 +331,6 @@ def _bucket_range_worker(
             use_index=use_index,
             scanner=scanner,
             statistics=statistics,
-            backend=BatchedBackend(),
             anchor_tuples=bucket,
             predicate=predicate,
         ):
@@ -356,20 +355,15 @@ def _bucket_range_worker(
     return results, statistics, trace_payload
 
 
-class ShardedBackend(BatchedBackend):
+class ShardedBackend(SerialBackend):
     """Fan bucket ranges (or whole passes, one range each) out to worker processes."""
 
     name = "sharded"
 
-    def __init__(self, max_workers: int = 2, granularity: str = "bucket"):
+    def __init__(self, max_workers: int = 2):
         if max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if granularity not in ("bucket", "pass"):
-            raise ValueError(
-                f"granularity must be 'bucket' or 'pass', got {granularity!r}"
-            )
         self.max_workers = max_workers
-        self.granularity = granularity
         # One fallback warning per backend instance: a streaming run pushes
         # hundreds of passes through the same backend, and a host that could
         # not spawn processes for the first one will not spawn them for the
@@ -377,10 +371,7 @@ class ShardedBackend(BatchedBackend):
         self._warned_fallback = False
 
     def __repr__(self) -> str:
-        return (
-            f"ShardedBackend(max_workers={self.max_workers}, "
-            f"granularity={self.granularity!r})"
-        )
+        return f"ShardedBackend(max_workers={self.max_workers})"
 
     def run_singleton_passes(
         self,
@@ -397,7 +388,7 @@ class ShardedBackend(BatchedBackend):
             statistics=statistics,
             predicate=predicate,
         )
-        if self.granularity == "bucket" and predicate.bucket_sound:
+        if predicate.bucket_sound:
             plan = plan_bucket_ranges(database)
         else:
             plan = plan_whole_passes(database)

@@ -169,9 +169,9 @@ class StreamingFullDisjunction:
     ``Complete`` store mirroring every distinct result emitted so far, and a
     live :class:`ResultLog` that open sessions read.
 
-    ``backend`` schedules the per-step work (serial / batched / async —
-    in-process backends; the per-arrival loop is a single pass, so there is
-    nothing to shard).
+    ``backend`` schedules the base run; every backend runs the one serial
+    ``GetNextResult`` step, and the per-arrival loop is a single in-process
+    pass, so there is nothing to shard there.
 
     With a ``ranking`` the maintained stream is the *ranked* full
     disjunction: log entries are ``(tuple set, score)`` pairs, the base run

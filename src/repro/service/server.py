@@ -1,8 +1,8 @@
 """An asyncio JSON-lines server driving query sessions end to end.
 
 One process, one event loop, many clients: each connection speaks a
-line-oriented JSON protocol, sessions are multiplexed through the ``async``
-execution backend (one ``GetNextResult``-granular step per loop turn), and
+line-oriented JSON protocol, sessions are multiplexed on the loop one
+``GetNextResult``-granular step per turn (:meth:`QueryServer.drive`), and
 identical queries from different clients share prefixes through a
 :class:`~repro.service.cache.PrefixCache`.
 
@@ -69,7 +69,6 @@ from repro.core.approx_join import (
 )
 from repro.core.ranking import MaxRanking, validate_importance_spec
 from repro.core.tupleset import TupleSet
-from repro.exec import AsyncBackend
 from repro.relational.database import Database
 from repro.relational.errors import (
     DatabaseError,
@@ -171,6 +170,10 @@ class QueryServer:
     #: Bound on remembered persistable ``open`` requests (snapshot inputs).
     _MAX_PERSISTABLE_OPENS = 64
 
+    #: Retained per-session step counters; a long-running server churns
+    #: through sessions, so the oldest names age out past this bound.
+    MAX_TRACKED_SESSIONS = 1024
+
     def __init__(
         self,
         database: Database,
@@ -193,7 +196,9 @@ class QueryServer:
         #: replication tailer applies the primary's WAL records directly
         #: through the maintainer instead.
         self.read_only = read_only
-        self.backend = AsyncBackend()
+        #: Steps (results produced) per session name, for fairness checks;
+        #: the ``stats`` op reports them as ``steps``.
+        self.steps: "OrderedDict[str, int]" = OrderedDict()
         self.maintainer = StreamingFullDisjunction(database, use_index=use_index)
         #: Wire requests of cache-backed opens, keyed by routing key — the
         #: requests whose cached prefixes a snapshot can persist and a
@@ -542,12 +547,35 @@ class QueryServer:
             return error
         k = int(request.get("k", 1))
         render = self._renderer(request)
-        results = await self.backend.drive(session, k)
+        results = await self.drive(session, k)
         return {
             "ok": True,
             "results": [render(item) for item in results],
             "exhausted": session.exhausted,
         }
+
+    async def drive(self, session: QuerySession, k: Optional[int] = None) -> List[object]:
+        """Pull up to ``k`` results from ``session``, yielding the loop per step.
+
+        ``None`` drains the session.  Between consecutive results control is
+        handed back to the event loop (``await asyncio.sleep(0)``), so the
+        ``next`` requests of concurrent connections interleave at
+        ``GetNextResult`` granularity instead of one hogging the loop for a
+        whole prefix.
+        """
+        steps = self.steps
+        results: List[object] = []
+        while k is None or len(results) < k:
+            batch = session.next(1)
+            if not batch:
+                break
+            results.extend(batch)
+            steps[session.name] = steps.get(session.name, 0) + 1
+            steps.move_to_end(session.name)
+            while len(steps) > self.MAX_TRACKED_SESSIONS:
+                steps.popitem(last=False)
+            await asyncio.sleep(0)
+        return results
 
     def _peek(self, request: dict) -> dict:
         session, error = self._session_of(request)
@@ -892,7 +920,7 @@ def server_stats(state: QueryServer) -> dict:
         "cache": state.cache.stats(),
         "sessions": len(state._sessions),
         "requests": state.requests,
-        "steps": dict(state.backend.steps),
+        "steps": dict(state.steps),
         "kernel": active_kernel().name,
         "arrivals_applied": state.maintainer.arrivals_applied,
         "mutations_applied": state.maintainer.mutations_applied,

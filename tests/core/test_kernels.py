@@ -29,7 +29,6 @@ from repro.core.kernels import (
 from repro.core.kernels.bigint import BigintKernel
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.scanner import TupleScanner
-from repro.core.store import CompleteStore
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
@@ -497,52 +496,45 @@ def test_popcount_parity():
 
 
 # ------------------------------------------------------------------ #
-# the store's kernel cache
+# the packed group cache
 # ------------------------------------------------------------------ #
 @requires_numpy
-def test_store_kernel_cache_is_invalidated_by_retraction():
+def test_packed_group_cache_extends_as_the_group_grows():
+    from repro.core.kernels.packed import PackedKernel
+
     database = chain_database(
         relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=13
     )
     catalog = database.catalog()
     all_tuples = list(database.tuples())
     rng = random.Random(29)
-    with use_kernel("packed") as kernel:
-        _vectorized(kernel)
-        store = CompleteStore(anchor_relation=None, use_index=True)
-        sets = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(8)]
-        for ts in sets:
-            store.add(ts)
-        anchors = [min(ts.tuples, key=lambda t: (t.relation_name, t.label)) for ts in sets]
-        for ts, anchor in zip(sets, anchors):
-            assert store.contains_superset_batch([ts], anchor=anchor) == [True]
-        assert store._kernel_cache  # the group matrices are warm
-        victim = anchors[0]
-        database.remove_tuple(victim.relation_name, victim.label)
-        removed = store.retract_containing({victim}, catalog=catalog)
-        assert all(victim in ts for ts in removed)
-        assert not store._kernel_cache  # invalidated, not stale
-        survivors = [ts for ts in sets if victim not in ts]
-        for ts in survivors:
-            anchor = min(ts.tuples, key=lambda t: (t.relation_name, t.label))
-            assert store.contains_superset_batch([ts], anchor=anchor) == [True]
+    reference, packed = BigintKernel(), _vectorized(PackedKernel())
+    cache = {}
+    group = []
+    for _ in range(4):
+        group.extend(_random_jcc_set(rng, all_tuples, catalog) for _ in range(3))
+        probes = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(3)]
+        probes.append(TupleSet(list(group[-1].tuples)[:1], catalog=catalog))
+        got = packed.batch_contains_superset(group, probes, cache=cache, cache_key="g")
+        assert got == reference.batch_contains_superset(group, probes)
+        # The cached matrix grew by the new suffix instead of being rebuilt.
+        assert cache["g"].built == len(group)
 
 
 # ------------------------------------------------------------------ #
-# the whole driver on forced-vectorized paths
+# the whole driver under every kernel and backing
 # ------------------------------------------------------------------ #
 @requires_numpy
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
 def test_driver_stream_is_identical_on_forced_vectorized_paths(name, tmp_path):
-    """End to end through every packed code path, cutoffs zeroed — four ways.
+    """End to end under both kernels, cutoffs zeroed, and both backings.
 
-    These workloads are small enough that the production cutoffs would
-    delegate everything to the reference; forcing the vectorized paths
-    runs the real batched driver through the packed probe, merge, and
-    extend loops and asserts the ordered result stream — and the scan
-    counters — are byte-identical across the big-int run and the packed
-    kernel on *both* mirror backings (anonymous RAM arrays and the
-    mapped file).
+    The serial driver calls no kernel op itself, so this pins that its
+    ordered result stream — and the scan counters — do not depend on the
+    kernel selection (cutoffs zeroed) or on the mirror backing: anonymous
+    RAM arrays, or the mapped file whose rows the driver's consistency
+    tests then read in place.  The packed ops themselves are held to the
+    reference by the per-op parity tests above.
     """
     from repro.core.full_disjunction import full_disjunction
 
@@ -555,7 +547,7 @@ def test_driver_stream_is_identical_on_forced_vectorized_paths(name, tmp_path):
             _vectorized(kernel)
             statistics = FDStatistics()
             results = full_disjunction(
-                database, use_index=True, backend="batched", statistics=statistics
+                database, use_index=True, backend="serial", statistics=statistics
             )
             streams[(kernel_name, backing)] = [
                 tuple(sorted((t.relation_name, t.label) for t in ts))

@@ -63,8 +63,6 @@ class TestCompleteStoreRetraction:
         database.remove_tuple(dead.relation_name, dead.label)
         store.retract_containing({dead}, catalog=catalog)
         assert not store.contains_superset(probe, anchor=member)
-        answers = store.contains_superset_batch([probe], anchor=member)
-        assert answers == [False]
 
     def test_surviving_buckets_are_cleaned(self, use_index):
         database = _database()

@@ -258,7 +258,7 @@ def test_inner_loop_tests_match_reference_under_every_kernel(
 
 @pytest.mark.parametrize("kernel,backing", KERNEL_MODES, ids=KERNEL_MODE_IDS)
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
-def test_contains_superset_batch_matches_reference_under_every_kernel(
+def test_batch_contains_superset_matches_reference_under_every_kernel(
     name, kernel, backing, tmp_path
 ):
     database = _mode_database(name, backing, tmp_path)
@@ -276,6 +276,7 @@ def test_contains_superset_batch_matches_reference_under_every_kernel(
         for ts in stored:
             reference_store.add(TupleSet(ts.tuples))
             store.add(ts)
+        cache = {}
         for _ in range(25):
             donor = rng.choice(stored)
             members = rng.sample(_sorted(donor.tuples), rng.randint(1, len(donor)))
@@ -292,7 +293,12 @@ def test_contains_superset_batch_matches_reference_under_every_kernel(
             expected = [
                 reference_store.contains_superset(TupleSet(p.tuples)) for p in probes
             ]
-            assert store.contains_superset_batch(probes, anchor=anchor) == expected
+            assert [store.contains_superset(p, anchor=anchor) for p in probes] == expected
+            # The kernel op over the whole store answers the same questions.
+            answers, _ = active.batch_contains_superset(
+                stored, probes, cache=cache, cache_key="stored"
+            )
+            assert answers == expected
 
 
 @pytest.mark.parametrize("kernel,backing", KERNEL_MODES, ids=KERNEL_MODE_IDS)

@@ -65,7 +65,7 @@ def test_results_emitted_counts_delivered_answers(backend):
 
 # ``sharded`` splits exact passes into anchor-bucket ranges but runs
 # approximate passes whole, so the two do different work there by design.
-@pytest.mark.parametrize("backend", ["serial", "batched", "sharded-pass"])
+@pytest.mark.parametrize("backend", ["serial"])
 def test_exact_and_exact_match_approx_report_equal_counters(backend):
     exact = FDStatistics()
     exact_answers = list(
@@ -83,7 +83,7 @@ def test_exact_and_exact_match_approx_report_equal_counters(backend):
     assert _counters(exact) == _counters(approx)
 
 
-@pytest.mark.parametrize("backend", ["serial", "batched"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_priority_and_exact_match_ranked_approx_report_equal_counters(backend):
     priority = FDStatistics()
     ranked = list(
@@ -102,3 +102,23 @@ def test_priority_and_exact_match_ranked_approx_report_equal_counters(backend):
     assert ranked == ranked_approx
     assert priority.results_emitted == len(ranked) == 16
     assert _counters(priority) == _counters(approx)
+
+
+def test_sharded_approx_passes_report_serial_counters():
+    # Approximate passes fan out whole, one task per relation, so the merged
+    # counters are the serial run's, work stores included.
+    join = MinJoin(ExactMatchSimilarity())
+    serial = FDStatistics()
+    serial_answers = list(
+        approx_full_disjunction_sets(_chain(), join, 1.0, statistics=serial)
+    )
+    sharded = FDStatistics()
+    sharded_answers = list(
+        approx_full_disjunction_sets(
+            _chain(), join, 1.0, statistics=sharded, backend="sharded:2"
+        )
+    )
+    assert sharded_answers == serial_answers
+    assert _counters(sharded) == _counters(serial)
+    for key in ("complete_sets_scanned", "incomplete_sets_scanned"):
+        assert sharded.extras[key] == serial.extras[key]

@@ -71,9 +71,11 @@ class TestFdCommand:
         with pytest.raises(SystemExit):
             main(["fd"])
 
-    def test_batched_backend_produces_the_same_answers(self, csv_paths, capsys):
-        assert main(["fd", *csv_paths, "--backend", "batched", "--use-index"]) == 0
-        assert "(6 answers)" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", ["batched", "async"])
+    def test_removed_backend_names_are_refused(self, csv_paths, name, capsys):
+        with pytest.raises(SystemExit):
+            main(["fd", *csv_paths, "--backend", name])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_sharded_backend_produces_the_same_answers(self, csv_paths, capsys):
         assert main(["fd", *csv_paths, "--backend", "sharded", "--workers", "2"]) == 0
@@ -127,7 +129,7 @@ class TestStreamCommand:
 
     def test_stream_accepts_a_backend(self, csv_paths, capsys):
         assert main(
-            ["stream", *csv_paths, "--backend", "batched", "--use-index"]
+            ["stream", *csv_paths, "--backend", "sharded", "--use-index"]
         ) == 0
         assert "catalog build)" in capsys.readouterr().out
 

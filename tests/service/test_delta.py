@@ -247,17 +247,21 @@ def test_ingest_is_atomic_on_a_bad_arrival():
 def test_maintainer_honours_the_backend_for_the_base_run():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
     reference = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    batched = StreamingFullDisjunction(
-        workload.database, use_index=True, backend="batched"
+    sharded = StreamingFullDisjunction(
+        workload.database, use_index=True, backend="sharded:2"
     )
-    batched.prime()
+    sharded.prime()
     serial = StreamingFullDisjunction(reference.database, use_index=True)
     serial.prime()
-    assert [_keys(ts) for ts in batched.results] == [_keys(ts) for ts in serial.results]
-    # The batched base run really went through the batched step: the probe
-    # amortization leaves its signature in the store counters.
-    assert batched.statistics.extras["complete_bucket_probes"] < (
-        serial.statistics.extras["complete_bucket_probes"]
+    sharded_keys = [_keys(ts) for ts in sharded.results]
+    serial_keys = [_keys(ts) for ts in serial.results]
+    assert sorted(sharded_keys, key=sorted) == sorted(serial_keys, key=sorted)
+    assert len(set(sharded_keys)) == len(sharded_keys)
+    # The sharded base run really fanned out bucket ranges: each range
+    # probes its own small Complete store, which leaves its signature in
+    # the store counters.
+    assert sharded.statistics.extras["complete_sets_scanned"] < (
+        serial.statistics.extras["complete_sets_scanned"]
     )
 
 

@@ -8,14 +8,12 @@ import json
 import pytest
 
 from repro.core.full_disjunction import full_disjunction_sets
-from repro.exec import AsyncBackend
 from repro.service.server import (
     client_call,
     fetch_first_k,
     run_smoke,
     start_server,
 )
-from repro.service.session import open_session
 from repro.workloads.generators import chain_database, star_database
 from repro.workloads.streaming import streaming_chain_workload
 from repro.workloads.tourist import tourist_database
@@ -547,73 +545,52 @@ class TestSmokeHarness:
             run_smoke(tourist_database(), clients=2, engine="mystery")
 
 
-class TestAsyncFairness:
-    def test_round_robin_keeps_sessions_within_one_step(self):
-        """Strict fairness: no session leads a live peer by more than one."""
+class TestWireFairness:
+    def test_concurrent_next_requests_interleave_their_steps(self):
+        """Two connections' ``next`` requests share the loop step by step."""
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
-        backend = AsyncBackend()
-        sessions = [
-            open_session(database, "fd", use_index=True, name=f"s{i}")
-            for i in range(3)
-        ]
-        progress = []
-        originals = [s.next for s in sessions]
 
-        def tracking(index):
-            def wrapped(k=1):
-                batch = originals[index](k)
-                if batch:
-                    progress.append(index)
-                return batch
-            return wrapped
-
-        for index, session in enumerate(sessions):
-            session.next = tracking(index)
-        try:
-            results = backend.serve_first_k(sessions, 6)
-        finally:
-            for session in sessions:
-                session.close()
-        assert all(len(r) == 6 for r in results)
-        counts = [0, 0, 0]
-        for index in progress:
-            counts[index] += 1
-            assert max(counts) - min(counts) <= 1, (
-                f"unfair interleaving: {counts}"
-            )
-        assert set(backend.steps) == {"s0", "s1", "s2"}
-
-    def test_drive_yields_between_steps(self):
-        """Concurrent drive() tasks interleave instead of running to completion."""
-        database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
-        backend = AsyncBackend()
-        order = []
-
-        async def tracked(session, label, k):
-            results = []
-            while len(results) < k:
-                batch = await backend.drive(session, 1)
-                if not batch:
-                    break
-                results.extend(batch)
-                order.append(label)
-            return results
-
-        async def scenario():
-            sessions = [
-                open_session(database, "fd", use_index=True, name=f"t{i}")
-                for i in range(2)
+        async def scenario(state, port):
+            connections = [
+                await asyncio.open_connection("127.0.0.1", port) for _ in range(2)
             ]
             try:
-                return await asyncio.gather(
-                    tracked(sessions[0], "a", 5), tracked(sessions[1], "b", 5)
-                )
-            finally:
-                for session in sessions:
-                    session.close()
+                names = []
+                for reader, writer in connections:
+                    reply = await client_call(reader, writer, {"op": "open", "engine": "fd"})
+                    names.append(reply["session"])
+                order = []
+                for name in names:
+                    session = state._sessions[name]
 
-        first, second = asyncio.run(scenario())
-        assert len(first) == len(second) == 5
-        # Both labels appear in the first half of the trace: neither task
-        # monopolized the loop for its whole prefix.
-        assert {"a", "b"} <= set(order[:4])
+                    def tracking(k=1, name=name, pull=session.next):
+                        batch = pull(k)
+                        if batch:
+                            order.append(name)
+                        return batch
+
+                    session.next = tracking
+                # Both request lines are on the wire before the server reads
+                # either, so its two handlers are in flight together.
+                for (_, writer), name in zip(connections, names):
+                    request = {"op": "next", "session": name, "k": 5}
+                    writer.write(json.dumps(request).encode() + b"\n")
+                for _, writer in connections:
+                    await writer.drain()
+                replies = [
+                    json.loads(await reader.readline()) for reader, _ in connections
+                ]
+                stats = await client_call(*connections[0], {"op": "stats"})
+                return names, order, replies, stats
+            finally:
+                for _, writer in connections:
+                    writer.close()
+                    await writer.wait_closed()
+
+        names, order, replies, stats = _run(_with_server(database, scenario))
+        assert [len(reply["results"]) for reply in replies] == [5, 5]
+        assert sorted(order) == sorted(names * 5)
+        # Both sessions step in the first half of the trace: neither request
+        # held the loop for its whole prefix.
+        assert set(order[:4]) == set(names)
+        assert stats["steps"] == {name: 5 for name in names}

@@ -94,7 +94,7 @@ class TestWorkloadGenerators:
             hold_back_arrivals(tourist_database(), fraction=1.0)
 
 
-@pytest.mark.parametrize("backend", ["serial", "batched"])
+@pytest.mark.parametrize("backend", ["serial", "sharded:2"])
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_streaming_ingest_builds_the_catalog_exactly_once(backend, batch_size):
     """The acceptance criterion: N streamed tuples, 1 catalog build."""
@@ -135,7 +135,7 @@ def test_replay_emits_every_final_result_and_never_retracts():
 
 def test_replay_is_backend_agnostic():
     reference = None
-    for backend in ("serial", "batched"):
+    for backend in ("serial", "sharded:2"):
         workload = streaming_chain_workload(
             relations=3, base_tuples=4, arrivals=5, seed=8
         )
@@ -145,11 +145,13 @@ def test_replay_is_backend_agnostic():
                 use_index=True, backend=backend,
             )
         )
-        trace = [
-            (_keys(e.tuple_set), e.after_arrivals)
+        # Bucket ranges may reorder the answers within one replay step, never
+        # move an answer to another step.
+        trace = sorted(
+            (e.after_arrivals, sorted(_keys(e.tuple_set)))
             for e in events
             if isinstance(e, ResultEvent)
-        ]
+        )
         if reference is None:
             reference = trace
         else:
